@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Print one sha256 per report for a fixed list of small CLI configs.
+
+Each config runs in-process through ``plstab.cli.main`` inside a temporary
+directory and writes its report there; the script prints
+``<sha256>  <name>`` per report.  Two source trees that print the same lines
+write byte-identical reports for these configs, which is the gate for a
+change that must not move any reported number.  The CSV densities are
+referenced by relative path, so the config hash inside each report does not
+depend on where the temporary directory lands.
+
+  PYTHONPATH=src python3 scripts/report_hashes.py
+
+Exits 1 if any config exits non-zero or writes to stderr.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from plstab.cli import main as plstab_main
+from plstab.grids import GridFunction, to_csv
+
+CSV_LO, CSV_HI, CSV_N = -10.0, 10.0, 1024
+
+# (name, argv); the two configs are written next to the CSVs by write_inputs
+RUNS = [
+    ("counterexample_sweep_n1024",
+     ["counterexample", "--sweep", "delta=0.002:0.1:6", "--t", "0.5", "--n", "1024"]),
+    ("radial_sweep_d3",
+     ["radial", "--sweep", "delta=0.011:0.11:4", "--n", "4096", "--dimension", "3"]),
+    ("deficit_bimodal_csv", ["deficit", "--config", "deficit.json"]),
+    ("stability_bimodal_csv", ["stability", "--config", "stability.json"]),
+]
+
+
+def bimodal(center: float, sep: float, s1: float, s2: float, w: float) -> GridFunction:
+    dx = (CSV_HI - CSV_LO) / (CSV_N - 1)
+    xs = CSV_LO + dx * np.arange(CSV_N)
+    vals = np.zeros(CSV_N)
+    for weight, mu, sigma in ((w, center - sep / 2, s1), (1.0 - w, center + sep / 2, s2)):
+        vals += weight * np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    return GridFunction(CSV_LO, dx, vals)
+
+
+def write_inputs() -> None:
+    to_csv(bimodal(-0.3, 3.4, 0.6, 0.8, 0.45), "f.csv")
+    to_csv(bimodal(0.4, 3.8, 0.7, 0.55, 0.6), "g.csv")
+    for command in ("deficit", "stability"):
+        config = {
+            "command": command,
+            "densities": [{"kind": "csv", "path": "f.csv"}, {"kind": "csv", "path": "g.csv"}],
+            "lambda": 0.35,
+            "grid": {"min": CSV_LO, "max": CSV_HI, "n": CSV_N},
+        }
+        with open(f"{command}.json", "w") as handle:
+            json.dump(config, handle)
+
+
+def main() -> int:
+    cwd = os.getcwd()
+    failed = False
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            write_inputs()
+            for name, argv in RUNS:
+                out = f"{name}.out"
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = plstab_main(argv + ["--out", out])
+                if code != 0 or err.getvalue():
+                    print(f"FAILED  {name}: exit {code}, stderr {err.getvalue().strip()!r}")
+                    failed = True
+                    continue
+                with open(out, "rb") as handle:
+                    print(f"{hashlib.sha256(handle.read()).hexdigest()}  {name}")
+        finally:
+            os.chdir(cwd)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

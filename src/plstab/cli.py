@@ -118,7 +118,18 @@ def _check_density(spec: dict, i: int):
         raise ConfigError(f"{where}.path: must be a string")
 
 
-SWEEPABLE = {"delta", "t", "lambda"}
+# the parameters each command can sweep; other commands take no sweep
+SWEEPABLE = {"counterexample": ("delta", "t"), "radial": ("delta", "t")}
+
+
+def _check_sweep(command: str, param: str, where: str) -> None:
+    allowed = SWEEPABLE.get(command, ())
+    if not allowed:
+        raise ConfigError(f"{where}: command {command!r} takes no sweep")
+    if param not in allowed:
+        raise ConfigError(
+            f"{where}: command {command!r} cannot sweep {param!r} (sweepable: {', '.join(allowed)})"
+        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -168,8 +179,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if "sweep" in raw and raw["sweep"] is not None:
         s = raw["sweep"]
         _expect_keys(s, {"param", "values"}, {"param", "values"}, "config.sweep")
-        if s["param"] not in SWEEPABLE:
-            raise ConfigError(f"config.sweep.param: unknown sweep parameter {s['param']!r}")
+        _check_sweep(cfg.command, s["param"], "config.sweep.param")
         vals = s["values"]
         if not isinstance(vals, list) or len(vals) == 0:
             raise ConfigError("config.sweep.values: must be a nonempty list")
@@ -196,15 +206,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def parse_sweep_flag(text: str) -> dict:
-    """--sweep param=start:stop:count with geometrically spaced values."""
+    """--sweep param=start:stop:count with geometrically spaced values.
+
+    Which parameters a command may sweep is checked by ``_check_sweep``."""
     try:
         param, rng = text.split("=", 1)
         start, stop, count = rng.split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise ConfigError(f"--sweep: expected param=start:stop:count, got {text!r}") from exc
-    if param not in SWEEPABLE:
-        raise ConfigError(f"--sweep: unknown sweep parameter {param!r}")
     if count < 2 or start <= 0 or stop <= start:
         raise ConfigError("--sweep: need 0 < start < stop and count >= 2")
     values = np.exp(np.linspace(math.log(start), math.log(stop), count))
@@ -491,6 +501,7 @@ def main(argv=None) -> int:
                 raise ConfigError("PLSTAB_SEED: must be an integer") from exc
         if args.sweep is not None:
             cfg.sweep = parse_sweep_flag(args.sweep)
+            _check_sweep(cfg.command, cfg.sweep["param"], "--sweep")
         if args.jobs is not None:
             if args.jobs < 1:
                 raise ConfigError("--jobs: must be >= 1")

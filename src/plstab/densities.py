@@ -62,22 +62,6 @@ def bump(center: float, width: float, lo: float, hi: float, n: int) -> GridFunct
     return GridFunction(lo, (hi - lo) / (n - 1), vals)
 
 
-def indicator_aligned(a: float, b: float, height: float, lo: float, hi: float, n: int) -> GridFunction:
-    """Indicator height*1_(a,b) on a grid whose cell edges align with a and b.
-
-    Used by closed-form tests; raises if the requested edges do not fall on
-    the cell-boundary lattice.
-    """
-    lo0, dx, n = make_grid(lo, hi, n)
-    for edge in (a, b):
-        k = (edge - (lo0 - 0.5 * dx)) / dx
-        if abs(k - round(k)) > 1e-9:
-            raise DomainError("edges must align with cell boundaries")
-    xs = lo0 + dx * np.arange(n)
-    vals = np.where((xs > a) & (xs < b), height, 0.0)
-    return GridFunction(lo0, dx, vals)
-
-
 BUILDERS = {
     "gaussian": lambda p, grid: gaussian(p["mu"], p["sigma"], *grid),
     "exponential": lambda p, grid: exponential(p["rate"], *grid),

@@ -24,7 +24,7 @@ from .grids import (
     mass,
     support_indices,
 )
-from .transport import monotone_transport, excluded_mass
+from .transport import monotone_transport
 
 DEFAULT_MAX_CELLS = 8192
 _NEG = -np.inf

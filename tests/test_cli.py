@@ -241,3 +241,47 @@ def test_csv_density_ingestion(tmp_path):
     assert main(["deficit", "--config", str(cfg_path), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())["report"]
     assert abs(rep["epsilon"]) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "command, sweep, message",
+    [
+        ("counterexample", "lambda=0.2:0.8:3", "cannot sweep 'lambda'"),
+        ("radial", "lambda=0.2:0.8:3", "cannot sweep 'lambda'"),
+        ("counterexample", "mystery=0.2:0.8:3", "cannot sweep 'mystery'"),
+        ("deficit", "delta=0.01:0.1:3", "takes no sweep"),
+        ("stability", "t=0.2:0.8:3", "takes no sweep"),
+        ("hypograph", "delta=0.01:0.1:3", "takes no sweep"),
+        ("invariants", "delta=0.01:0.1:3", "takes no sweep"),
+    ],
+)
+def test_sweep_flag_rejected_where_ignored(capsys, command, sweep, message):
+    assert main([command, "--sweep", sweep, "--n", "512"]) == 2
+    err = capsys.readouterr().err
+    assert "--sweep" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "command, param",
+    [("counterexample", "lambda"), ("radial", "lambda"), ("deficit", "delta"),
+     ("stability", "delta"), ("hypograph", "t"), ("invariants", "delta")],
+)
+def test_config_sweep_rejected_where_ignored(command, param):
+    text = json.dumps({"command": command, "sweep": {"param": param, "values": [0.1, 0.2, 0.3]}})
+    with pytest.raises(ConfigError, match="config.sweep.param"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("command", ["deficit", "stability"])
+def test_jobs_flag_accepted_without_sweep(tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(json.loads(GOOD_CONFIG), command=command)))
+    out = tmp_path / "r.json"
+    assert main([command, "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]) == 0
+
+
+def test_degenerate_fit_is_precondition_error(capsys):
+    # at d = 100 the radial family carries no signal: every epsilon is the same round-off
+    args = ["radial", "--sweep", "delta=0.01:0.1:4", "--dimension", "100", "--n", "2048"]
+    assert main(args) == 3
+    assert "no spread" in capsys.readouterr().err

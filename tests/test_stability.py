@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plstab import (
     CounterexampleConfig,
@@ -22,9 +24,12 @@ from plstab import (
     sup_convolution,
     translate,
 )
+import plstab.stability
 from plstab.densities import gaussian, standard_gaussian_pi
 from plstab.stability import (
     ReductionCheckError,
+    _golden_min,
+    _lipschitz_scan,
     near_equality_pair,
     random_log_concave,
     random_log_concave_pair,
@@ -69,6 +74,131 @@ def test_aligned_scale_recovers_amplitude(gauss_pi):
     d, s, a = aligned_l1_distance(u, gauss_pi, optimize_scale=True)
     assert d <= 1e-6
     assert a == pytest.approx(1.4, rel=1e-3)
+
+
+def flat_scan_aligned_l1_distance(u, v, optimize_scale=False):
+    """Reference for aligned_l1_distance: the same search with every lattice
+    point of the coarse shift scan evaluated."""
+    dx = min(u.dx, v.dx)
+    ratio = mass(u) / mass(v)
+
+    def dist(s, a):
+        w = translate(v, s)
+        if a != 1.0:
+            w = scale_amplitude(w, a)
+        return l1_distance(u, w)
+
+    best = {"d": math.inf, "s": 0.0, "a": 1.0}
+
+    def probe(s, a):
+        d = dist(s, a)
+        if d < best["d"]:
+            best.update(d=d, s=s, a=a)
+        return d
+
+    a_cur = ratio if optimize_scale else 1.0
+    span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
+    center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
+    shifts = center + np.arange(-span, span + 2 * dx, 4.0 * dx)
+    vals = [probe(float(s), a_cur) for s in shifts]
+    s_cur = float(shifts[int(np.argmin(vals))])
+    probe(0.0, a_cur)
+    probe(center, a_cur)
+
+    def refine_shift(s0, a):
+        lo, hi = s0 - 4.0 * dx, s0 + 4.0 * dx
+        while hi - lo > dx / 4.0:
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            if probe(m1, a) < probe(m2, a):
+                hi = m2
+            else:
+                lo = m1
+        return 0.5 * (lo + hi)
+
+    def snap(s, a):
+        for step in (dx, 0.5 * dx):
+            probe(round(s / step) * step, a)
+
+    s_cur = refine_shift(s_cur, a_cur)
+    snap(s_cur, a_cur)
+    if optimize_scale:
+        for _ in range(2):
+            a_cur, _ = _golden_min(lambda a: probe(s_cur, a), 0.5 * ratio, 2.0 * ratio)
+            s_cur = refine_shift(s_cur, a_cur)
+        snap(s_cur, a_cur)
+    probe(s_cur, a_cur)
+    return best["d"], best["s"], best["a"]
+
+
+def bimodal(rng, n, lo=-8.0, hi=8.0):
+    dx = (hi - lo) / (n - 1)
+    xs = lo + dx * np.arange(n)
+    sep, s1, s2, w = rng.uniform(2.0, 5.0), rng.uniform(0.4, 1.0), rng.uniform(0.4, 1.0), rng.uniform(0.2, 0.8)
+    vals = w * np.exp(-0.5 * ((xs + sep / 2) / s1) ** 2) + (1 - w) * np.exp(-0.5 * ((xs - sep / 2) / s2) ** 2)
+    return normalize(GridFunction(lo, dx, vals))
+
+
+@st.composite
+def aligned_pairs(draw):
+    """(u, v) pairs: log-concave, bimodal, shifted and rescaled copies (some on
+    u's own grid, where l1_distance takes its rectangle-sum branch), and
+    pairs on grids of different dx."""
+    kind = draw(st.sampled_from(["log_concave", "bimodal", "copy", "mixed_dx"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(96, 400))
+    if kind == "log_concave":
+        return random_log_concave_pair(rng, n=n)
+    if kind == "bimodal":
+        return bimodal(rng, n), bimodal(rng, n)
+    if kind == "copy":
+        v = bimodal(rng, n) if rng.random() < 0.5 else random_log_concave(rng, n=n)
+        cells = draw(st.sampled_from([0.0, 4.0, 1.5, float(rng.uniform(-40.0, 40.0))]))
+        return scale_amplitude(translate(v, cells * v.dx), float(rng.uniform(0.5, 2.0))), v
+    m = draw(st.integers(96, 400))
+    return random_log_concave(rng, n=n), bimodal(rng, m, lo=-6.0, hi=7.0)
+
+
+@given(aligned_pairs(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_aligned_pruned_scan_matches_flat_scan(pair, optimize_scale):
+    u, v = pair
+    assert aligned_l1_distance(u, v, optimize_scale) == flat_scan_aligned_l1_distance(u, v, optimize_scale)
+
+
+@pytest.mark.parametrize("exact_value, minimiser", [(-5.0, 777), (100.0, 779)])
+def test_lipschitz_scan_evaluates_exact_points(exact_value, minimiser):
+    # |i - 779| is 1-Lipschitz; index 777 breaks the bound, as a rectangle-sum
+    # lattice point may: it must be evaluated, and must not bound its gaps
+    xs = np.arange(1000.0)
+    exact = xs == 777
+
+    def fn(i):
+        return exact_value if exact[i] else abs(i - 779.0)
+
+    vals = _lipschitz_scan(fn, xs, 1.0, 1e-9, exact)
+    assert min(vals, key=lambda i: (vals[i], i)) == minimiser
+    assert len(vals) < 100
+
+
+def test_aligned_pruned_scan_on_rectangle_branch_point(gauss_pi):
+    # n = 4097 puts shift 0 on the lattice, where u's own grid takes the rectangle sum
+    for opt in (False, True):
+        expected = flat_scan_aligned_l1_distance(gauss_pi, gauss_pi, opt)
+        assert aligned_l1_distance(gauss_pi, gauss_pi, opt) == expected
+
+
+def test_aligned_probe_count_on_counterexample(monkeypatch):
+    res = counterexample_family(CounterexampleConfig(delta=0.01, t=0.5, grid_n=4096))
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return l1_distance(f, g)
+
+    monkeypatch.setattr(plstab.stability, "l1_distance", counting)
+    aligned_l1_distance(res.g, res.f)
+    assert len(calls) < 200
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +322,18 @@ def test_exponent_fit_constant_distances():
     pts = [(e, 2.0) for e in (1e-3, 1e-2, 1e-1)]
     slope, intercept, r2 = exponent_fit(pts)
     assert slope == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [(2.9e-15, 7.2e-14)] * 4,  # equal epsilons: no slope to fit
+        [(e, 1e-300) for e in (1e-3, 1e-2, 1e-1)],  # ss_tot = 0 with round-off residuals
+    ],
+)
+def test_exponent_fit_rejects_degenerate_data(pts):
+    with pytest.raises(DomainError, match="no spread"):
+        exponent_fit(pts)
 
 
 def test_exponent_fit_validation():
