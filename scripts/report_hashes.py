@@ -30,7 +30,7 @@ from plstab.grids import GridFunction, to_csv
 
 CSV_LO, CSV_HI, CSV_N = -10.0, 10.0, 1024
 
-# (name, argv); the two configs are written next to the CSVs by write_inputs
+# (name, argv); the three configs are written next to the CSVs by write_inputs
 RUNS = [
     ("counterexample_sweep_n1024",
      ["counterexample", "--sweep", "delta=0.002:0.1:6", "--t", "0.5", "--n", "1024"]),
@@ -38,6 +38,7 @@ RUNS = [
      ["radial", "--sweep", "delta=0.011:0.11:4", "--n", "4096", "--dimension", "3"]),
     ("deficit_bimodal_csv", ["deficit", "--config", "deficit.json"]),
     ("stability_bimodal_csv", ["stability", "--config", "stability.json"]),
+    ("hypograph_bimodal_csv", ["hypograph", "--config", "hypograph.json"]),
 ]
 
 
@@ -53,7 +54,7 @@ def bimodal(center: float, sep: float, s1: float, s2: float, w: float) -> GridFu
 def write_inputs() -> None:
     to_csv(bimodal(-0.3, 3.4, 0.6, 0.8, 0.45), "f.csv")
     to_csv(bimodal(0.4, 3.8, 0.7, 0.55, 0.6), "g.csv")
-    for command in ("deficit", "stability"):
+    for command in ("deficit", "stability", "hypograph"):
         config = {
             "command": command,
             "densities": [{"kind": "csv", "path": "f.csv"}, {"kind": "csv", "path": "g.csv"}],

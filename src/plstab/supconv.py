@@ -8,7 +8,12 @@ counterpart of monotone-argmax pruning), followed by a local refinement that
 re-evaluates the objective with three-point quadratic interpolation of the
 log values.  The refinement removes the O(dx^2) flattening bias of piecewise
 linear interpolation, which matters when deficits of order 1e-6 are measured.
-Non-log-concave inputs fall back to a chunked full scan over the grid.
+Non-log-concave inputs fall back to a scan of every f-grid node per output
+cell, pruned by certified block bounds: blocks of 32 nodes whose upper bound
+(max log f plus a range-max of log g over the cells the block can reach)
+falls below a value already attained are skipped.  The pruned scan returns
+bit for bit what the full scan returns and evaluates ~7% of its node pairs
+on bimodal inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from .transport import monotone_transport
 
 DEFAULT_MAX_CELLS = 8192
 _NEG = -np.inf
+_SCAN_BLOCK = 32  # f-nodes per bounded block of the grid scan
+_SCAN_ROWS = 256  # output cells per vectorized chunk of the grid scan
 
 
 def _log_values(f: GridFunction) -> np.ndarray:
@@ -128,22 +135,80 @@ def _ternary_max(obj, z, lo, hi, iters):
     return xs, obj(z, xs)
 
 
-def _grid_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray, block: int = 256):
-    """Full scan over f-grid candidates; O(N^2) fallback for rough inputs."""
-    xs_all = lf.x0 + lf.dx * np.arange(lf.n)
+def _range_max_table(v: np.ndarray) -> np.ndarray:
+    """Sparse table: row k holds max(v[i : i + 2**k]) at column i (-inf padded)."""
+    levels = [v]
+    width = 1
+    while 2 * width <= v.size:
+        levels.append(np.maximum(levels[-1][:-width], levels[-1][width:]))
+        width *= 2
+    table = np.full((len(levels), v.size), _NEG)
+    for k, row in enumerate(levels):
+        table[k, : row.size] = row
+    return table
+
+
+def _block_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
+    """Max over the finite f-grid nodes x of t*log f(x) + (1-t)*log g(y(z, x)).
+
+    Returns, per output cell, the first maximizing node and its value (the
+    first node and -inf where no node is feasible), bit for bit what a scan
+    of every node returns.  The nodes are split into blocks of _SCAN_BLOCK.
+    Since y = (z - t*x)/(1-t) is monotone in x even in floating point, a
+    block reaches only the g-cells between the fractional g-indices of its
+    two end nodes, and t*max log f + (1-t)*max log g over those cells bounds
+    it from above (-inf when both ends lie on one side of the g-grid).  Each
+    row evaluates the block with the highest bound, then every block whose
+    bound reaches that value within 1e-12*(1 + |value|).  Log values lie in
+    [log 1e-300, log DBL_MAX], within 710 of zero, so the round-off of the
+    interpolation stays below 1e-12 and every skipped node is strictly below
+    a value some node attains: the first maximizer is always evaluated.
+    """
     finite = np.isfinite(lf.logv)
-    xs = xs_all[finite]
+    xs = (lf.x0 + lf.dx * np.arange(lf.n))[finite]
     logf = lf.logv[finite]
+    starts = np.arange(0, xs.size, _SCAN_BLOCK)
+    ends = np.minimum(starts + _SCAN_BLOCK, xs.size) - 1
+    fmax = np.maximum.reduceat(logf, starts)
+    gtable = _range_max_table(lg.logv)
     best_val = np.full(z.size, _NEG)
-    best_x = np.full(z.size, np.nan)
-    for start in range(0, z.size, block):
-        zz = z[start : start + block, None]
-        y = (zz - t * xs[None, :]) / (1.0 - t)
-        vals = t * logf[None, :] + (1.0 - t) * lg.linear(y)
-        j = np.argmax(vals, axis=1)
-        rows = np.arange(zz.size)
-        best_val[start : start + block] = vals[rows, j]
-        best_x[start : start + block] = xs[j]
+    best_x = np.full(z.size, xs[0])
+
+    def values(zz, j):
+        return t * logf[j] + (1.0 - t) * lg.linear((zz - t * xs[j]) / (1.0 - t))
+
+    for start in range(0, z.size, _SCAN_ROWS):
+        zz = z[start : start + _SCAN_ROWS, None]
+        # fractional g-index at each block's ends, as lg.linear computes it
+        u_hi = ((zz - t * xs[starts]) / (1.0 - t) - lg.x0) / lg.dx
+        u_lo = ((zz - t * xs[ends]) / (1.0 - t) - lg.x0) / lg.dx
+        # g-nodes lg.linear reads between those ends, with one spare each side
+        a = np.clip(np.floor(u_lo) - 1, 0, lg.n - 1).astype(int)
+        b = np.clip(np.floor(u_hi) + 2, 0, lg.n - 1).astype(int)
+        k = np.frexp(b - a + 1.0)[1] - 1
+        gmax = np.maximum(gtable[k, a], gtable[k, b - (1 << k) + 1])
+        gmax[(u_hi < 0.0) | (u_lo > lg.n - 1)] = _NEG
+        ub = t * fmax + (1.0 - t) * gmax
+        top = np.argmax(ub, axis=1)
+        jj = np.minimum(starts[top, None] + np.arange(_SCAN_BLOCK), ends[top, None])
+        lb = np.max(values(zz, jj), axis=1, keepdims=True)
+        slack = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(lb), lb, 0.0)))
+        rr, bb = np.nonzero((ub > _NEG) & (ub + slack >= lb))
+        if rr.size == 0:
+            continue
+        lengths = ends[bb] - starts[bb] + 1
+        offsets = np.cumsum(lengths) - lengths
+        j = np.repeat(starts[bb] - offsets, lengths) + np.arange(lengths.sum())
+        rows = np.repeat(rr, lengths)
+        vals = values(zz[rows, 0], j)
+        # segmented argmax over each row's evaluated nodes, first index on ties
+        present, first = np.unique(rows, return_index=True)
+        vmax = np.full(zz.size, _NEG)
+        vmax[present] = np.maximum.reduceat(vals, first)
+        jbest = np.minimum.reduceat(np.where(vals == vmax[rows], j, xs.size), first)
+        hit = vmax[present] > _NEG
+        best_val[start : start + zz.size] = vmax
+        best_x[start + present[hit]] = xs[jbest[hit]]
     return best_x, best_val
 
 
@@ -183,7 +248,7 @@ def sup_convolution(
     if concave:
         xs1, v1 = _ternary_max(lin_obj, z, x_lo, x_hi, iters=60)
     else:
-        xs1, v1 = _grid_scan_max(lf, lg, t, z)
+        xs1, v1 = _block_scan_max(lf, lg, t, z)
         xs1 = np.where(empty, 0.5 * (x_lo + x_hi), xs1)
         v1 = np.where(empty, _NEG, v1)
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import plstab.supconv
 from plstab import (
     DomainError,
     GridFunction,
@@ -18,6 +21,7 @@ from plstab import (
 )
 from plstab.densities import gaussian
 from plstab.stability import random_log_concave_pair
+from plstab.supconv import _LogInterp, _block_scan_max
 
 UNIFORM_DEFICIT = (3.0 - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
 
@@ -122,6 +126,138 @@ def test_non_log_concave_fallback():
     rhs = np.sqrt(bimodal.evaluate(xsmp) * bimodal.evaluate(ysmp))
     lhs = res.h.evaluate(0.5 * (xsmp + ysmp))
     assert np.all(lhs >= rhs - 2e-2 * np.max(rhs))
+
+
+# ---------------------------------------------------------------------------
+# grid scan of non-log-concave inputs
+
+
+def flat_grid_scan_max(lf, lg, t, z):
+    """Reference for _block_scan_max: every finite f-node against every output
+    cell, first maximizer per cell (node 0 where all values are -inf)."""
+    xs_all = lf.x0 + lf.dx * np.arange(lf.n)
+    finite = np.isfinite(lf.logv)
+    xs = xs_all[finite]
+    logf = lf.logv[finite]
+    best_val = np.full(z.size, -np.inf)
+    best_x = np.full(z.size, np.nan)
+    for start in range(0, z.size, 256):
+        zz = z[start : start + 256, None]
+        y = (zz - t * xs[None, :]) / (1.0 - t)
+        vals = t * logf[None, :] + (1.0 - t) * lg.linear(y)
+        j = np.argmax(vals, axis=1)
+        rows = np.arange(zz.size)
+        best_val[start : start + 256] = vals[rows, j]
+        best_x[start : start + 256] = xs[j]
+    return best_x, best_val
+
+
+def scan_density(rng, kind, x0, dx, n):
+    xs = x0 + dx * np.arange(n)
+    mid = x0 + 0.5 * dx * (n - 1)
+    if kind in ("bimodal", "noisy"):
+        sep = rng.uniform(0.2, 0.6) * dx * n
+        s1, s2 = rng.uniform(0.03, 0.1, 2) * dx * n
+        w = rng.uniform(0.2, 0.8)
+        vals = (w * np.exp(-0.5 * ((xs - mid + sep / 2) / s1) ** 2)
+                + (1 - w) * np.exp(-0.5 * ((xs - mid - sep / 2) / s2) ** 2))
+        if kind == "noisy":
+            vals = vals * rng.uniform(0.5, 1.5, n)
+            vals[rng.random(n) < 0.15] = 0.0
+    else:
+        # plateau: a few flat steps; spikes: a few narrow runs far apart
+        vals = np.zeros(n)
+        width = (n // 4, n // 2) if kind == "plateau" else (1, 4)
+        for _ in range(int(rng.integers(1, 4))):
+            a = int(rng.integers(0, n - 1))
+            vals[a : a + int(rng.integers(*width))] = rng.choice([0.25, 0.5, 1.0])
+    if not np.any(vals > 0):
+        vals[n // 2] = 1.0
+    return GridFunction(x0, dx, vals)
+
+
+@st.composite
+def scan_cases(draw):
+    """(lf, lg, t, z) for the grid scan: bimodal, noisy with interior zero
+    cells, plateaus (many tied maximizers) and narrow spikes (rows where no
+    node is feasible), on grids of equal or different dx; z spans
+    t*grid(f) + (1-t)*grid(g) plus a margin of five cells no node reaches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["bimodal", "noisy", "plateau", "spikes"]
+    dx = 0.05
+    ratio = draw(st.sampled_from([1.0, 0.5, 1.7, float(rng.uniform(0.3, 3.0))]))
+    f = scan_density(rng, draw(st.sampled_from(kinds)), -4.0, dx, draw(st.integers(40, 500)))
+    g = scan_density(rng, draw(st.sampled_from(kinds)), float(rng.uniform(-6.0, 2.0)), dx * ratio,
+                     draw(st.integers(40, 500)))
+    t = draw(st.floats(0.05, 0.95))
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    lo = t * f.x0 + (1.0 - t) * g.x0
+    hi = t * (f.x0 + (f.n - 1) * f.dx) + (1.0 - t) * (g.x0 + (g.n - 1) * g.dx)
+    dz = min(f.dx, g.dx)
+    z = lo + dz * np.arange(-5, int((hi - lo) / dz) + 6)
+    return lf, lg, t, z
+
+
+@given(scan_cases())
+@settings(max_examples=80, deadline=None)
+def test_block_scan_matches_flat_scan(case):
+    lf, lg, t, z = case
+    x_ref, v_ref = flat_grid_scan_max(lf, lg, t, z)
+    x, v = _block_scan_max(lf, lg, t, z)
+    assert np.array_equal(x, x_ref, equal_nan=True)
+    assert np.array_equal(v, v_ref)
+
+
+def test_block_scan_ties_and_empty_rows():
+    # two plateaus: most cells have many tied maximizers, and the gap between
+    # the spikes of g leaves rows where no node is feasible
+    dx = 0.05
+    xs = dx * np.arange(400)
+    f = GridFunction(0.0, dx, np.where((xs > 3.0) & (xs < 15.0), 0.5, 0.0))
+    g = GridFunction(0.0, dx, np.where((xs < 0.2) | (xs > 19.7), 1.0, 0.0))
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    t = 0.9
+    z = dx * np.arange(-5, 405)
+    x_ref, v_ref = flat_grid_scan_max(lf, lg, t, z)
+    vals = t * lf.logv[None, :] + (1.0 - t) * lg.linear((z[:, None] - t * xs[None, :]) / (1.0 - t))
+    ties = np.sum(vals == np.max(vals, axis=1, keepdims=True), axis=1)
+    assert np.any(np.isneginf(v_ref)) and np.any(np.isfinite(v_ref) & (ties > 1))
+    x, v = _block_scan_max(lf, lg, t, z)
+    assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
+
+
+def test_block_scan_evaluates_few_pairs(monkeypatch):
+    n = 4096
+    dx = 20.0 / (n - 1)
+    xs = -10.0 + dx * np.arange(n)
+    f = GridFunction(-10.0, dx, 0.4 * np.exp(-0.5 * ((xs + 1.9) / 0.6) ** 2)
+                     + 0.6 * np.exp(-0.5 * ((xs - 1.6) / 0.8) ** 2))
+    g = GridFunction(-10.0, dx, 0.55 * np.exp(-0.5 * ((xs + 1.5) / 0.7) ** 2)
+                     + 0.45 * np.exp(-0.5 * ((xs - 2.3) / 0.55) ** 2))
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    t = 0.35
+    evaluated = []
+    linear = _LogInterp.linear
+
+    def counting(self, q):
+        evaluated.append(np.size(q))
+        return linear(self, q)
+
+    monkeypatch.setattr(_LogInterp, "linear", counting)
+    _block_scan_max(lf, lg, t, xs)
+    assert sum(evaluated) < 0.1 * n * n
+
+
+def test_sup_convolution_grid_scan_matches_flat_scan(monkeypatch):
+    xs = np.linspace(-6, 6, 801)
+    dx = 12 / 800
+    f = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs) - 2.5) ** 2))
+    g = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs - 0.7) - 1.5) ** 2))
+    res = sup_convolution(f, g, 0.3)
+    monkeypatch.setattr(plstab.supconv, "_block_scan_max", flat_grid_scan_max)
+    ref = sup_convolution(f, g, 0.3)
+    assert np.array_equal(res.h.values, ref.h.values)
+    assert np.array_equal(res.attained_x, ref.attained_x, equal_nan=True)
 
 
 def test_integral_curve_endpoints_and_concavity():
