@@ -3,11 +3,13 @@
 
 Each config runs in-process through ``plstab.cli.main`` inside a temporary
 directory and writes its report there; the script prints
-``<sha256>  <name>`` per report.  Two source trees that print the same lines
-write byte-identical reports for these configs, which is the gate for a
-change that must not move any reported number.  The CSV densities are
-referenced by relative path, so the config hash inside each report does not
-depend on where the temporary directory lands.
+``<sha256>  <name>`` per report.  The hash covers the report followed by
+the text the call printed to stdout (the ``invariants`` suite prints its PASS
+lines there; the other configs print nothing).  Two source trees that print
+the same lines write byte-identical reports for these configs, which is the
+gate for a change that must not move any reported number.  The CSV
+densities are referenced by relative path, so the config hash inside each
+report does not depend on where the temporary directory lands.
 
   PYTHONPATH=src python3 scripts/report_hashes.py
 
@@ -39,6 +41,10 @@ RUNS = [
     ("deficit_bimodal_csv", ["deficit", "--config", "deficit.json"]),
     ("stability_bimodal_csv", ["stability", "--config", "stability.json"]),
     ("hypograph_bimodal_csv", ["hypograph", "--config", "hypograph.json"]),
+    ("invariants_seed7", ["invariants", "--seed", "7"]),
+    # n = 16384 puts the sup-convolution at its 8192-cell cap
+    ("radial_sweep_capped_d2",
+     ["radial", "--sweep", "delta=0.011:0.11:3", "--n", "16384", "--dimension", "2"]),
 ]
 
 
@@ -74,15 +80,17 @@ def main() -> int:
             write_inputs()
             for name, argv in RUNS:
                 out = f"{name}.out"
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
+                err, stdout = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
                     code = plstab_main(argv + ["--out", out])
                 if code != 0 or err.getvalue():
                     print(f"FAILED  {name}: exit {code}, stderr {err.getvalue().strip()!r}")
                     failed = True
                     continue
                 with open(out, "rb") as handle:
-                    print(f"{hashlib.sha256(handle.read()).hexdigest()}  {name}")
+                    digest = hashlib.sha256(handle.read())
+                digest.update(stdout.getvalue().encode())
+                print(f"{digest.hexdigest()}  {name}")
         finally:
             os.chdir(cwd)
     return 1 if failed else 0

@@ -188,9 +188,16 @@ def lemma_square_min_ratio(n: int, grid_steps: int = 200) -> float:
 
 
 def radial_l1_distance(f: RadialProfile, g: RadialProfile) -> float:
-    """omega_n * int |f - g| r^(n-1) dr on the common refinement grid."""
+    """omega_n * int |f - g| r^(n-1) dr on the common refinement grid.
+
+    On a shared grid the refinement grid is the profiles' own radii, where
+    the resampling returns the node values exactly, so the difference is
+    taken directly.
+    """
     if f.n != g.n:
         raise DomainError("profiles must share the ambient dimension")
+    if f.r0 == g.r0 and f.dr == g.dr and f.values.size == g.values.size:
+        return radial_mass(RadialProfile(f.n, f.r0, f.dr, np.abs(f.values - g.values)))
     dr = min(f.dr, g.dr)
     lo = min(f.r0, g.r0)
     hi = max(f.radii[-1], g.radii[-1])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plstab import (
     DomainError,
@@ -169,6 +171,32 @@ def test_radial_l1_triangle():
     g = gaussian_profile(2, sigma=1.2)
     h = gaussian_profile(2, sigma=1.5)
     assert radial_l1_distance(f, h) <= radial_l1_distance(f, g) + radial_l1_distance(g, h) + 1e-9
+
+
+def resampled_radial_l1(f, g):
+    """Reference for radial_l1_distance: both profiles resampled on the
+    common refinement grid, also when they share a grid."""
+    dr = min(f.dr, g.dr)
+    lo = min(f.r0, g.r0)
+    hi = max(f.radii[-1], g.radii[-1])
+    m = int(np.floor((hi - lo) / dr + 0.5)) + 1
+    rs = lo + dr * np.arange(max(m, 2))
+    diff = np.abs(f.as_grid().evaluate(rs) - g.as_grid().evaluate(rs))
+    return radial_mass(RadialProfile(f.n, lo, dr, diff))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(2, 3000),
+       st.sampled_from(["origin", "half", "random"]))
+@settings(max_examples=60, deadline=None)
+def test_radial_l1_same_grid_matches_resampling(seed, n_dim, cells, start):
+    # the amplitude search compares g with a*f on f's own grid
+    rng = np.random.default_rng(seed)
+    dr = float(rng.uniform(1e-3, 0.5))
+    r0 = {"origin": 0.0, "half": 0.5 * dr, "random": float(rng.uniform(0.0, 3.0))}[start]
+    f = RadialProfile(n_dim, r0, dr, rng.exponential(1.0, cells) * (rng.random(cells) < 0.8))
+    g = RadialProfile(n_dim, r0, dr, rng.uniform(0.5, 2.0) * f.values + rng.exponential(0.1, cells))
+    assert radial_l1_distance(f, g) == resampled_radial_l1(f, g)
+    assert radial_l1_distance(g, f) == resampled_radial_l1(g, f)
 
 
 def test_radial_supconv_equality():

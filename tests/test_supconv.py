@@ -21,7 +21,7 @@ from plstab import (
 )
 from plstab.densities import gaussian
 from plstab.stability import random_log_concave_pair
-from plstab.supconv import _LogInterp, _block_scan_max
+from plstab.supconv import _LogInterp, _block_scan_max, _log_values
 
 UNIFORM_DEFICIT = (3.0 - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
 
@@ -126,6 +126,130 @@ def test_non_log_concave_fallback():
     rhs = np.sqrt(bimodal.evaluate(xsmp) * bimodal.evaluate(ysmp))
     lhs = res.h.evaluate(0.5 * (xsmp + ysmp))
     assert np.all(lhs >= rhs - 2e-2 * np.max(rhs))
+
+
+# ---------------------------------------------------------------------------
+# table-driven log interpolation
+
+
+class ReferenceLogInterp:
+    """Reference for _LogInterp: masks and selections rebuilt on every call.
+    For n = 2 its quadratic reads logv[-1] (index k - 1 with k = 0)."""
+
+    def __init__(self, f):
+        self.x0 = f.x0
+        self.dx = f.dx
+        self.logv = _log_values(f)
+        self.n = f.n
+
+    def linear(self, q):
+        u = (q - self.x0) / self.dx
+        inside = (u >= 0.0) & (u <= self.n - 1)
+        k = np.clip(np.floor(u).astype(int), 0, self.n - 2)
+        s = u - k
+        y0 = self.logv[k]
+        y1 = self.logv[k + 1]
+        both = np.isfinite(y0) & np.isfinite(y1)
+        y0s = np.where(np.isfinite(y0), y0, 0.0)
+        y1s = np.where(np.isfinite(y1), y1, 0.0)
+        val = np.where(both, y0s + s * (y1s - y0s), -np.inf)
+        val = np.where((s == 0.0) & np.isfinite(y0), y0s, val)
+        val = np.where((s == 1.0) & np.isfinite(y1), y1s, val)
+        return np.where(inside, val, -np.inf)
+
+    def quadratic(self, q):
+        u = (q - self.x0) / self.dx
+        inside = (u >= 0.0) & (u <= self.n - 1)
+        k = np.clip(np.rint(u).astype(int), 1, self.n - 2)
+        s = u - k
+        ym = self.logv[k - 1]
+        y0 = self.logv[k]
+        yp = self.logv[k + 1]
+        ok = np.isfinite(ym) & np.isfinite(y0) & np.isfinite(yp) & (np.abs(s) <= 1.0)
+        yms = np.where(np.isfinite(ym), ym, 0.0)
+        y0s = np.where(np.isfinite(y0), y0, 0.0)
+        yps = np.where(np.isfinite(yp), yp, 0.0)
+        quad = y0s + 0.5 * s * (yps - yms) + 0.5 * s * s * (yps - 2.0 * y0s + yms)
+        lin = self.linear(q)
+        return np.where(inside & ok, quad, lin)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def interp_cases(draw):
+    """(f, q): log-values spread over many decades with zero cells inside the
+    support (or a constant density); queries at random points, at every node
+    (u = n - 1 included), half-way between nodes, within round-off of both
+    ends and up to three cells outside the grid; a 2-D query half the time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(3, 80))
+    vals = np.exp(rng.normal(0.0, 3.0, n))
+    vals[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = 0.0
+    if draw(st.booleans()) and n > 4:
+        vals[: int(rng.integers(1, n // 2))] = 0.0
+    if not np.any(vals > 0) or draw(st.integers(0, 9)) == 0:
+        vals = np.ones(n)
+    f = GridFunction(float(rng.normal(0.0, 5.0)), float(rng.uniform(0.01, 2.0)), vals)
+    nodes = np.arange(-3, n + 3, dtype=float)
+    u = np.concatenate([rng.uniform(-3.0, n + 2.0, 100), nodes, nodes + 0.5,
+                        [-1e-17, -1.0, 1e-17, n - 1 - 1e-13, n - 1 + 1e-13]])
+    q = np.concatenate([f.x0 + f.dx * u, f.centers])
+    if draw(st.booleans()):
+        q = q[: q.size // 2 * 2].reshape(-1, 2)
+    return f, q
+
+
+@given(interp_cases())
+@settings(max_examples=200, deadline=None)
+def test_log_interp_matches_reference(case):
+    f, q = case
+    interp, ref = _LogInterp(f), ReferenceLogInterp(f)
+    assert_bits_equal(interp.linear(q), ref.linear(q))
+    assert_bits_equal(interp.quadratic(q), ref.quadratic(q))
+
+
+def test_log_interp_node_hits_beside_zero_cells():
+    # finite nodes next to zero cells keep their value only when hit exactly,
+    # including the last node u = n - 1
+    f = GridFunction(0.0, 1.0, [0.0, 2.0, 0.0, 3.0, 1.0, 0.0, 5.0])
+    interp, ref = _LogInterp(f), ReferenceLogInterp(f)
+    q = np.array([[1.0, 3.0, 6.0, 1.5], [-1.0, 7.0, 3.25, 0.0]])
+    expected = np.array([[math.log(2.0), math.log(3.0), math.log(5.0), -np.inf],
+                         [-np.inf, -np.inf, 0.75 * math.log(3.0), -np.inf]])
+    assert_bits_equal(interp.linear(q), expected)
+    assert_bits_equal(interp.linear(q), ref.linear(q))
+    assert_bits_equal(interp.quadratic(q), ref.quadratic(q))
+
+
+def test_log_interp_two_cells_quadratic_is_linear():
+    # log-linear data on two cells: there is no three-node stencil, so the
+    # quadratic must not read past the grid and equals the linear value
+    f = GridFunction(0.0, 1.0, [1.0, math.exp(-3.0)])
+    interp = _LogInterp(f)
+    q = np.array([0.0, 0.25, 0.5, 1.0])
+    assert interp.quadratic(np.array([0.25]))[0] == pytest.approx(-0.75, abs=1e-15)
+    assert_bits_equal(interp.quadratic(q), interp.linear(q))
+
+
+@pytest.mark.parametrize("kind", ["log_concave", "bimodal"])
+def test_sup_convolution_matches_reference_interp(monkeypatch, kind):
+    if kind == "log_concave":
+        f, g = random_log_concave_pair(3, n=1024)
+    else:
+        xs = np.linspace(-6, 6, 801)
+        dx = 12 / 800
+        f = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs) - 2.5) ** 2))
+        g = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs - 0.7) - 1.5) ** 2))
+    res = sup_convolution(f, g, 0.3)
+    monkeypatch.setattr(plstab.supconv, "_LogInterp", ReferenceLogInterp)
+    ref = sup_convolution(f, g, 0.3)
+    assert_bits_equal(res.h.values, ref.h.values)
+    assert_bits_equal(res.attained_x, ref.attained_x)
 
 
 # ---------------------------------------------------------------------------
