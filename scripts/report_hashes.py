@@ -7,7 +7,9 @@ directory and writes its report there; the script prints
 the text the call printed to stdout (the ``invariants`` suite prints its PASS
 lines there; the other configs print nothing).  Two source trees that print
 the same lines write byte-identical reports for these configs, which is the
-gate for a change that must not move any reported number.  The CSV
+gate for a change that must not move any reported number; for a change
+that moves numbers on purpose, ``scripts/report_diff.py`` runs the same
+configs under two source trees and prints how far each field moved.  The CSV
 densities are referenced by relative path, so the config hash inside each
 report does not depend on where the temporary directory lands.
 

@@ -18,10 +18,20 @@ from .transport import CDF_RESOLUTION, Cdf, MonotoneMap
 from . import supconv as _sc
 
 
-def unit_sphere_area(n: int) -> float:
-    """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+# Gamma(n/2) overflows a double beyond n = 343
+MAX_DIMENSION = 343
+
+
+def _check_dimension(n: int) -> None:
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    if n > MAX_DIMENSION:
+        raise DomainError(f"dimension must be <= {MAX_DIMENSION}: Gamma(n/2) overflows beyond it")
+
+
+def unit_sphere_area(n: int) -> float:
+    """Surface measure of the unit sphere in R^n: 2 pi^(n/2) / Gamma(n/2)."""
+    _check_dimension(n)
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
@@ -33,8 +43,7 @@ class RadialProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("dimension must be >= 1")
+        _check_dimension(self.n)
         if self.r0 < 0:
             raise DomainError("r0 must be >= 0")
         g = GridFunction(self.r0, self.dr, self.values)  # reuse validation

@@ -463,6 +463,7 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     dr = r_hi / n
     r = dr * (0.5 + np.arange(n))
     fvals = np.exp(-math.pi * r ** 2)
+    f = RadialProfile(n_dim, float(r[0]), dr, fvals)  # rejects unsupported dimensions
     weight = r ** (n_dim - 1)
     psi1 = _radial_bump(r, 0.5, 1.4)
     psi2 = _radial_bump(r, 1.1, 2.0)
@@ -471,7 +472,6 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     phi /= float(np.max(np.abs(phi)))
     gvals = (1.0 + cfg.delta * phi) * fvals
 
-    f = RadialProfile(n_dim, float(r[0]), dr, fvals)
     g = RadialProfile(n_dim, float(r[0]), dr, gvals)
     f = RadialProfile(n_dim, f.r0, f.dr, f.values / radial_mass(f))
     g = RadialProfile(n_dim, g.r0, g.dr, g.values / radial_mass(g))

@@ -1,25 +1,29 @@
 """Sup-convolutions h_t(z) = sup over z = t*x + (1-t)*y of f(x)^t g(y)^(1-t).
 
 Everything runs in the log domain with -inf sentinels for zero cells, so
-0^t * anything = 0 by convention.  For log-concave inputs the objective
-x -> t*log f(x) + (1-t)*log g((z - t*x)/(1-t)) is concave, and each output
-cell is maximized by a vectorized bracketed ternary search (the continuous
-counterpart of monotone-argmax pruning), followed by a local refinement that
-re-evaluates the objective with three-point quadratic interpolation of the
-log values.  The refinement removes the O(dx^2) flattening bias of piecewise
-linear interpolation, which matters when deficits of order 1e-6 are measured.
-Both interpolants read tables built once per density (per cell a base value
-and a step, per node the first and second differences and whether the
-three-point stencil is finite), so each of the ~200 vectorized objective
-evaluations of a call is a few gathers and fused arithmetic; every table
-entry is a difference the direct formula computes, in the same order, so
-the values are bit for bit those of evaluating the formula per query.
-Non-log-concave inputs fall back to a scan of every f-grid node per output
-cell, pruned by certified block bounds: blocks of 32 nodes whose upper bound
-(max log f plus a range-max of log g over the cells the block can reach)
-falls below a value already attained are skipped.  The pruned scan returns
-bit for bit what the full scan returns and evaluates ~7% of its node pairs
-on bimodal inputs.
+0^t * anything = 0 by convention.  Each output cell is found in two stages.
+Stage 1 maximizes the objective x -> t*log f(x) + (1-t)*log g((z - t*x)/(1-t))
+with log f and log g interpolated linearly between grid nodes.  For
+log-concave inputs its maximum is the upper boundary of the Minkowski sum
+t*hypo(log f) + (1-t)*hypo(log g), which is exact in O(n_f + n_g) by merging
+the two edge lists by slope (the idea of Lucet's linear-time Legendre
+transform); every vertex of the merged chain is a pair of grid nodes, so the
+stage-1 value is attained.  Stage 2 refines around the stage-1 point with a
+vectorized bracketed ternary search that re-evaluates the objective with
+three-point quadratic interpolation of the log values.  The refinement
+removes the O(dx^2) flattening bias of piecewise linear interpolation, which
+matters when deficits of order 1e-6 are measured.  Both interpolants read
+tables built once per density (per cell a base value and a step, per node the
+first and second differences and whether the three-point stencil is finite),
+so each vectorized objective evaluation is a few gathers and fused
+arithmetic; every table entry is a difference the direct formula computes, in
+the same order, so the values are bit for bit those of evaluating the formula
+per query.  Stage 1 on non-log-concave inputs is a scan of every f-grid node
+per output cell, pruned by certified block bounds: blocks of 32 nodes whose
+upper bound (max log f plus a range-max of log g over the cells the block can
+reach) falls below a value already attained are skipped.  The pruned scan
+returns bit for bit what the full scan returns and evaluates ~7% of its node
+pairs on bimodal inputs.
 """
 
 from __future__ import annotations
@@ -134,18 +138,61 @@ def _support_range(f: GridFunction):
     return f.x0 + lo * f.dx, f.x0 + hi * f.dx
 
 
-def _objective_factory(lf: _LogInterp, lg: _LogInterp, t: float, quadratic: bool):
-    c = t
-    d = 1.0 - t
-
-    if quadratic:
-        def obj(z, x):
-            return c * lf.quadratic(x) + d * lg.quadratic((z - c * x) / d)
-    else:
-        def obj(z, x):
-            return c * lf.linear(x) + d * lg.linear((z - c * x) / d)
+def _quadratic_objective(lf: _LogInterp, lg: _LogInterp, t: float):
+    def obj(z, x):
+        return t * lf.quadratic(x) + (1.0 - t) * lg.quadratic((z - t * x) / (1.0 - t))
 
     return obj
+
+
+def _support_nodes(li: _LogInterp):
+    """Positions and log values of the finite nodes, assumed contiguous."""
+    finite = np.isfinite(li.logv)
+    start = int(np.argmax(finite))
+    stop = li.n - int(np.argmax(finite[::-1]))
+    return li.x0 + li.dx * np.arange(start, stop), li.logv[start:stop]
+
+
+def _merge_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
+    """Max over x of t*log f(x) + (1-t)*log g((z - t*x)/(1-t)), log f and log g
+    piecewise linear and concave on contiguous supports.
+
+    The hypograph of the maximum is t*hypo(log f) + (1-t)*hypo(log g), whose
+    upper boundary is the chain of both edge lists merged by slope, steepest
+    first (f first on ties).  One searchsorted places the f-edges among the
+    g-edges; the running maximum keeps the interleaving monotone where
+    round-off inverts slopes by ~1e-14.  Vertex m is a node pair (i, j) and
+    is evaluated from the node values, not by summing edges, so every vertex
+    is an attained value.  Returns, per output cell, the f-coordinate and the
+    value interpolated along the chain segment that holds z; cells just
+    outside the chain take its end vertex, and zero-length segments (t*dx
+    below the spacing of representable values near z) take their first.
+    """
+    xf, yf = _support_nodes(lf)
+    xg, yg = _support_nodes(lg)
+    nf = yf.size - 1
+    edges = nf + yg.size - 1
+    # g-edges steeper than each f-edge (f first on ties)
+    before = np.searchsorted(-np.diff(yg) / lg.dx, -np.diff(yf) / lf.dx)
+    from_f = np.zeros(edges, dtype=bool)
+    from_f[np.maximum.accumulate(before) + np.arange(nf)] = True
+    # vertex m is the node pair (i[m], m - i[m]); the merge arrays are freed
+    # as soon as they are used, since they are as long as both grids together
+    del before
+    i = np.zeros(edges + 1, dtype=np.int32)
+    np.cumsum(from_f, out=i[1:])
+    del from_f
+    X = t * xf[i]
+    X += (1.0 - t) * xg[np.arange(edges + 1, dtype=np.int32) - i]
+    m = np.clip(np.searchsorted(X, z, side="right") - 1, 0, max(edges - 1, 0))
+    m1 = np.minimum(m + 1, edges)
+    dX = X[m1] - X[m]
+    w = np.divide(z - X[m], dX, out=np.zeros(z.size), where=dX > 0.0)
+    w = np.clip(w, 0.0, 1.0)
+    a, b = i[m], i[m1]
+    va = t * yf[a] + (1.0 - t) * yg[m - a]
+    vb = t * yf[b] + (1.0 - t) * yg[m1 - b]
+    return xf[a] + w * (xf[b] - xf[a]), va + w * (vb - va)
 
 
 def _ternary_max(obj, z, lo, hi, iters):
@@ -274,9 +321,8 @@ def sup_convolution(
     from .logconcave import is_log_concave
 
     concave = is_log_concave(f)[0] and is_log_concave(g)[0]
-    lin_obj = _objective_factory(lf, lg, t, quadratic=False)
     if concave:
-        xs1, v1 = _ternary_max(lin_obj, z, x_lo, x_hi, iters=60)
+        xs1, v1 = _merge_max(lf, lg, t, z)
     else:
         xs1, v1 = _block_scan_max(lf, lg, t, z)
         xs1 = np.where(empty, 0.5 * (x_lo + x_hi), xs1)
@@ -284,7 +330,7 @@ def sup_convolution(
 
     # local quadratic refinement around the stage-1 point
     w = max(f.dx, g.dx * (1.0 - t) / t)
-    q_obj = _objective_factory(lf, lg, t, quadratic=True)
+    q_obj = _quadratic_objective(lf, lg, t)
     r_lo = np.maximum(x_lo, xs1 - w)
     r_hi = np.minimum(x_hi, xs1 + w)
     xs2, v2 = _ternary_max(q_obj, z, r_lo, r_hi, iters=45)

@@ -280,6 +280,14 @@ def test_jobs_flag_accepted_without_sweep(tmp_path, command):
     assert main([command, "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("dimension", [344, 1000])
+def test_unsupported_dimension_is_precondition_error(capsys, dimension):
+    # Gamma(d/2) overflows a double from d = 344 on
+    args = ["radial", "--delta", "0.05", "--n", "1024", "--dimension", str(dimension)]
+    assert main(args) == 3
+    assert "dimension must be <= 343" in capsys.readouterr().err
+
+
 def test_degenerate_fit_is_precondition_error(capsys):
     # at d = 100 the radial family carries no signal: every epsilon is the same round-off
     args = ["radial", "--sweep", "delta=0.01:0.1:4", "--dimension", "100", "--n", "2048"]

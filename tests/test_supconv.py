@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +20,21 @@ from plstab import (
     sup_convolution,
     translate,
 )
-from plstab.densities import gaussian
-from plstab.stability import random_log_concave_pair
-from plstab.supconv import _LogInterp, _block_scan_max, _log_values
+from plstab.densities import exponential, gaussian
+from plstab.stability import (
+    CounterexampleConfig,
+    counterexample_family,
+    random_log_concave,
+    random_log_concave_pair,
+)
+from plstab.supconv import (
+    _LogInterp,
+    _block_scan_max,
+    _log_values,
+    _merge_max,
+    _support_nodes,
+    _ternary_max,
+)
 
 UNIFORM_DEFICIT = (3.0 - 2.0 * math.sqrt(2.0)) / (2.0 * math.sqrt(2.0))
 
@@ -382,6 +395,193 @@ def test_sup_convolution_grid_scan_matches_flat_scan(monkeypatch):
     ref = sup_convolution(f, g, 0.3)
     assert np.array_equal(res.h.values, ref.h.values)
     assert np.array_equal(res.attained_x, ref.attained_x, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# exact slope merge of log-concave inputs
+
+
+def ternary_stage1(lf, lg, t, z):
+    """Reference for _merge_max: the 60-step ternary search of the linear
+    objective over each cell's feasible window, as stage 1 ran before."""
+    xf, _ = _support_nodes(lf)
+    xg, _ = _support_nodes(lg)
+    x_lo = np.maximum(xf[0], (z - (1.0 - t) * xg[-1]) / t)
+    x_hi = np.minimum(xf[-1], (z - (1.0 - t) * xg[0]) / t)
+
+    def obj(zz, x):
+        return t * lf.linear(x) + (1.0 - t) * lg.linear((zz - t * x) / (1.0 - t))
+
+    return _ternary_max(obj, z, x_lo, x_hi, iters=60)
+
+
+def pl_objective(lf, lg, t, z, x):
+    """The piecewise-linear objective with a feasibility tolerance of 1e-7
+    cells on both supports (-inf beyond it), so that points the merge puts on
+    a support end by rounding still evaluate there."""
+    xf, yf = _support_nodes(lf)
+    xg, yg = _support_nodes(lg)
+    y = (z - t * x) / (1.0 - t)
+    ok = ((x >= xf[0] - 1e-7 * lf.dx) & (x <= xf[-1] + 1e-7 * lf.dx)
+          & (y >= xg[0] - 1e-7 * lg.dx) & (y <= xg[-1] + 1e-7 * lg.dx))
+    val = t * np.interp(x, xf, yf) + (1.0 - t) * np.interp(y, xg, yg)
+    return np.where(ok, val, -np.inf)
+
+
+def vertex_oracle(lf, lg, t, z):
+    """Max of the piecewise-linear objective over its breakpoints: every
+    f-node x and every x that puts y on a g-node.  For concave log data the
+    maximum sits at one of them."""
+    xf, _ = _support_nodes(lf)
+    xg, _ = _support_nodes(lg)
+    zz = z[:, None]
+    at_f = pl_objective(lf, lg, t, zz, xf[None, :])
+    at_g = pl_objective(lf, lg, t, zz, (zz - (1.0 - t) * xg[None, :]) / t)
+    return np.maximum(np.max(at_f, axis=1), np.max(at_g, axis=1))
+
+
+def concave_density(rng, kind, x0, dx, n):
+    """A log-concave density on n nodes whose support starts anywhere."""
+    if kind == "kinked":
+        return random_log_concave(rng, x0, x0 + dx * (n - 1), n)
+    size = {"one_node": 1, "two_node": 2}.get(kind, int(rng.integers(3, n + 1)))
+    start = int(rng.integers(0, n - size + 1))
+    u = np.linspace(-1.0, 1.0, size) if size > 1 else np.zeros(1)
+    if kind == "smooth":
+        logv = -rng.uniform(0.5, 20.0) * (u - rng.uniform(-0.5, 0.5)) ** 2
+    elif kind == "plateau":
+        a, b = np.sort(rng.uniform(-1.0, 1.0, 2))
+        logv = np.minimum(0.0, np.minimum(rng.uniform(0.0, 30.0) * (u - a),
+                                          rng.uniform(0.0, 30.0) * (b - u)))
+    else:  # uniform, one_node, two_node
+        logv = np.zeros(size) if kind == "uniform" else rng.uniform(-3.0, 0.0, size)
+    vals = np.zeros(n)
+    vals[start : start + size] = np.exp(logv)
+    return GridFunction(x0, dx, vals)
+
+
+@st.composite
+def merge_cases(draw):
+    """(lf, lg, t, z): smooth, kinked, plateau, uniform, one-node and
+    two-node supports placed anywhere on grids of equal or different dx,
+    t in [0.001, 0.999]; z covers the chain from end to end, both ends
+    exactly and one representable step beyond each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["smooth", "kinked", "plateau", "uniform", "one_node", "two_node"]
+    dx = float(rng.uniform(0.01, 0.2))
+    ratio = draw(st.sampled_from([1.0, 0.5, 1.7, float(rng.uniform(0.3, 3.0))]))
+    f = concave_density(rng, draw(st.sampled_from(kinds)), float(rng.normal(0.0, 3.0)), dx,
+                        draw(st.integers(3, 120)))
+    g = concave_density(rng, draw(st.sampled_from(kinds)), float(rng.normal(0.0, 3.0)),
+                        dx * ratio, draw(st.integers(3, 120)))
+    t = draw(st.one_of(st.sampled_from([0.001, 0.5, 0.999]), st.floats(0.001, 0.999)))
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    xf, _ = _support_nodes(lf)
+    xg, _ = _support_nodes(lg)
+    lo = t * xf[0] + (1.0 - t) * xg[0]
+    hi = t * xf[-1] + (1.0 - t) * xg[-1]
+    z = np.concatenate([[np.nextafter(lo, -np.inf), lo, hi, np.nextafter(hi, np.inf)],
+                        np.linspace(lo, hi, 150)])
+    return lf, lg, t, z
+
+
+@given(merge_cases())
+@settings(max_examples=300, deadline=None)
+def test_merge_matches_reference_and_oracle(case):
+    lf, lg, t, z = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs, v = _merge_max(lf, lg, t, z)
+        _, v_ref = ternary_stage1(lf, lg, t, z)
+        oracle = vertex_oracle(lf, lg, t, z)
+        at_xs = pl_objective(lf, lg, t, z, xs)
+        _, v_swap = _merge_max(lg, lf, 1.0 - t, z)
+    # evaluating the objective at all rounds y = (z - t*x)/(1-t) by ~eps*|z|
+    # relative to the slopes, whichever way t is extreme
+    xf, yf = _support_nodes(lf)
+    xg, yg = _support_nodes(lg)
+    steepest = max(np.max(np.abs(np.diff(yf)), initial=0.0) / lf.dx,
+                   np.max(np.abs(np.diff(yg)), initial=0.0) / lg.dx)
+    reach = np.max(np.abs(z)) + np.max(np.abs(xf)) + np.max(np.abs(xg))
+    slack = 1e-12 * (1.0 + np.abs(v)) + 4.0 * np.finfo(float).eps * reach * steepest
+    assert np.all(np.isfinite(v))
+    assert np.all(v >= v_ref - slack)
+    assert np.all(np.abs(v - oracle) <= slack)
+    assert np.all(np.abs(at_xs - v) <= slack)
+    assert np.all(np.abs(v_swap - v) <= slack)
+
+
+def test_merge_equal_slopes_inverted_by_round_off():
+    # two exponentials of one rate: every f-edge ties with every g-edge up
+    # to round-off, which also inverts consecutive slopes within each list
+    f = exponential(1.5, -1.0, 9.0, 2001)
+    g = exponential(1.5, -2.0, 8.0, 1601)
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    xf, yf = _support_nodes(lf)
+    xg, _ = _support_nodes(lg)
+    assert np.any(np.diff(np.diff(yf)) > 0.0)
+    t = 0.4
+    z = np.linspace(t * xf[0] + (1.0 - t) * xg[0], t * xf[-1] + (1.0 - t) * xg[-1], 150)
+    _, v = _merge_max(lf, lg, t, z)
+    assert np.max(np.abs(v - vertex_oracle(lf, lg, t, z))) <= 1e-12 * (1.0 + np.max(np.abs(v)))
+
+
+def test_merge_two_node_support_attains_peak():
+    # the peak 1 of both densities sits on a node pair, which the merge
+    # attains exactly
+    f = GridFunction(0.0, 0.5, [1.0, 0.5])
+    g = gaussian(0.0, 1.0, -4.0, 4.0, 801)
+    g = g.with_values(g.values / np.max(g.values))
+    h = sup_convolution(f, g, 0.3).h
+    assert np.max(h.values) == 1.0
+
+
+@pytest.mark.parametrize("t", [0.001, 0.3, 0.99])
+def test_one_node_support_is_a_shifted_power(t):
+    # with f a single node at x0, h_t(z) = f(x0)^t * g((z - t*x0)/(1-t))^(1-t)
+    # in either argument order (y must then hit the node of the second one).
+    # The end cells are left out: the empty-window test may drop them by rounding
+    vals = np.zeros(40)
+    vals[13] = 0.8
+    f = GridFunction(-1.0, 0.1, vals)
+    g = gaussian(0.5, 1.0, -6.0, 6.0, 1201)
+    x0 = -1.0 + 13 * 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [sup_convolution(f, g, t).h, sup_convolution(g, f, 1.0 - t).h]
+    for h in pairs:
+        inner = h.values[1:-1]
+        expected = 0.8 ** t * g.evaluate((h.centers[1:-1] - t * x0) / (1.0 - t)) ** (1.0 - t)
+        assert np.all(inner > 0.0)
+        # linear interpolation of g against the log-quadratic refinement
+        assert np.max(np.abs(inner - expected)) <= 1e-4 * np.max(expected)
+
+
+def swap_gap(f, g, t):
+    eps = pl_deficit(sup_convolution(f, g, t).h, f, g, t)
+    eps_swap = pl_deficit(sup_convolution(g, f, 1.0 - t).h, g, f, 1.0 - t)
+    return abs(eps - eps_swap)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5])
+def test_swap_symmetry_smooth_family(t):
+    res = counterexample_family(CounterexampleConfig(delta=0.05, t=t, grid_n=2048))
+    assert swap_gap(res.f, res.g, t) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+def test_swap_symmetry_kinked_first_order(n):
+    # the refinement breaks swap symmetry on kinked data at first order in
+    # dx: the gap is 3.27e-5*dx (5.1e-7, 2.6e-7, 1.3e-7 at these n) with
+    # either stage 1, so the bound leaves 1.5x
+    f, g = random_log_concave_pair(19, n=n)
+    assert swap_gap(f, g, 0.3) <= 5e-5 * f.dx
+
+
+@pytest.mark.xfail(strict=True, reason="the stage-2 refinement is not swap-symmetric on kinks")
+def test_swap_symmetry_kinked_round_off():
+    f, g = random_log_concave_pair(19, n=1024)
+    assert swap_gap(f, g, 0.3) <= 1e-12
 
 
 def test_integral_curve_endpoints_and_concavity():
