@@ -47,6 +47,12 @@ RUNS = [
     # n = 16384 puts the sup-convolution at its 8192-cell cap
     ("radial_sweep_capped_d2",
      ["radial", "--sweep", "delta=0.011:0.11:3", "--n", "16384", "--dimension", "2"]),
+    # flags over a config file: the flag's grid n enters the config hash
+    ("deficit_flags_over_config",
+     ["deficit", "--config", "deficit.json", "--lambda", "0.6", "--n", "2048"]),
+    ("counterexample_point_csv",
+     ["counterexample", "--delta", "0.03", "--t", "0.3", "--n", "512", "--format", "csv"]),
+    ("stability_bimodal_csv_format", ["stability", "--config", "stability.json", "--format", "csv"]),
 ]
 
 

@@ -22,11 +22,9 @@ from .transport import (
     bad_set_measure,
     cdf,
     check_bilipschitz,
-    inverse_map,
     midpoint_deficit,
     mirror_deficit,
     monotone_transport,
-    quantile,
     tail_cut_points,
     transport_deficit,
 )

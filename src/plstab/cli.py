@@ -4,11 +4,20 @@ Commands: deficit, stability, counterexample, radial, invariants, hypograph.
 Configs are JSON (densities are nested specs, so flags alone do not suffice);
 the flags --lambda, --n, --seed, --out, --format, --t, --delta, --dimension,
 --sweep, --jobs override config fields.  PLSTAB_SEED overrides the seed.
+
+Validation has one path: ``_validate`` applies one table of field checks
+(types, finiteness, ranges) to a dict of the config file's shape.
+``parse_config`` applies it to the file as written; ``main`` then folds the
+flags and PLSTAB_SEED into that dict and applies it again, so a flag is
+checked exactly like the field it overrides, and a bad file field is an
+error even when a flag overrides it.  Errors name where the bad value came
+from: ``config.grid.min``, ``densities[0].mu``, ``--lambda``, ``--sweep``.
+
 Outputs are byte-identical for identical (config, seed) pairs: reports carry
 no timestamps and floats are serialized with repr.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical precondition
-failure (the failing check is named on stderr).
+Exit codes: 0 success; 2 config, validation or i/o error; 3 numerical
+precondition failure.  The message on stderr names the failing field or check.
 """
 
 from __future__ import annotations
@@ -25,8 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .densities import BUILDERS, make_grid
-from .grids import DomainError, GridFunction, PreconditionError, boundary_mass, mass
+from .densities import BUILDERS
+from .grids import DomainError, GridFunction, PreconditionError, boundary_mass, l1_distance
+from .grids import mass, normalize, sup_norm
 from .levelsets import bm_two_term_gap, distribution_function, hypograph_area
 from .logconcave import level_cut, log_concave_hull
 from .stability import (
@@ -46,13 +56,6 @@ class ConfigError(ValueError):
 
 
 VALID_COMMANDS = ("deficit", "stability", "counterexample", "radial", "invariants", "hypograph")
-DENSITY_PARAMS = {
-    "gaussian": {"mu", "sigma"},
-    "exponential": {"rate"},
-    "uniform": {"a", "b"},
-    "bump": {"center", "width"},
-    "csv": {"path"},
-}
 
 
 @dataclass
@@ -71,15 +74,9 @@ class ExperimentConfig:
 
     def canonical_dict(self) -> dict:
         return {
-            "command": self.command,
-            "densities": self.densities,
-            "lambda": self.lambda_,
-            "t": self.t,
-            "delta": self.delta,
-            "dimension": self.dimension,
-            "grid": self.grid,
-            "sweep": self.sweep,
-            "seed": self.seed,
+            "command": self.command, "densities": self.densities, "lambda": self.lambda_,
+            "t": self.t, "delta": self.delta, "dimension": self.dimension, "grid": self.grid,
+            "sweep": self.sweep, "seed": self.seed,
             "output": {"format": self.output.get("format", "json")},
         }
 
@@ -88,127 +85,161 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _expect_keys(obj: dict, allowed: set, required: set, where: str):
+# ---------------------------------------------------------------------------
+# field checks: each takes (value, where) and returns the value to store or
+# raises ConfigError naming ``where``; JSON true/false is never a number
+
+
+def _number(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        got = v if isinstance(v, float) else type(v).__name__
+        raise ConfigError(f"{where}: must be a finite number, not {got}")
+    return float(v)
+
+
+def _between(lo: float, hi: float):
+    def check(v, where: str) -> float:
+        x = _number(v, where)
+        if not lo < x < hi:
+            raise ConfigError(f"{where}: {x!r} is outside ({lo}, {hi})")
+        return x
+
+    return check
+
+
+def _integer(lo: float = -math.inf, hi: float = math.inf):
+    bounds = "" if lo == -math.inf else f" >= {lo}" if hi == math.inf else f" in [{lo}, {hi}]"
+
+    def check(v, where: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+            raise ConfigError(f"{where}: must be an integer{bounds}")
+        return v
+
+    return check
+
+
+def _path(v, where: str) -> str:
+    if not isinstance(v, str) or "\0" in v:
+        raise ConfigError(f"{where}: must be a file path string")
+    return v
+
+
+FIELDS = {
+    "lambda": _between(0.0, 1.0),
+    "t": _between(0.0, 1.0),
+    "delta": _between(0.0, 0.5),
+    "dimension": _integer(1),
+    "seed": _integer(),
+    "jobs": _integer(1),
+}
+GRID_N = _integer(64, 2 ** 20)
+DENSITY_PARAMS = {
+    "gaussian": {"mu": _number, "sigma": _between(0.0, math.inf)},
+    "exponential": {"rate": _between(0.0, math.inf)},
+    "uniform": {"a": _number, "b": _number},
+    "bump": {"center": _number, "width": _between(0.0, math.inf)},
+    "csv": {"path": _path},
+}
+# the parameters each command can sweep; other commands take no sweep
+SWEEPABLE = {"counterexample": ("delta", "t"), "radial": ("delta", "t")}
+
+
+def _object(obj, allowed: set, required: set, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{where}.{key}: unknown key")
     for key in required:
         if key not in obj:
             raise ConfigError(f"{where}.{key}: missing")
+    return obj
 
 
-def _check_density(spec: dict, i: int):
+def _check_density(spec, i: int) -> None:
     where = f"densities[{i}]"
     if not isinstance(spec, dict):
         raise ConfigError(f"{where}: must be an object")
     kind = spec.get("kind")
-    if kind not in DENSITY_PARAMS:
-        raise ConfigError(f"{where}.kind: unknown density kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DENSITY_PARAMS:
+        raise ConfigError(f"{where}.kind: must be one of {', '.join(DENSITY_PARAMS)}")
     params = DENSITY_PARAMS[kind]
-    _expect_keys(spec, params | {"kind"}, params, where)
-    if kind == "gaussian" and not spec["sigma"] > 0:
-        raise ConfigError(f"{where}.sigma: must be positive")
-    if kind == "exponential" and not spec["rate"] > 0:
-        raise ConfigError(f"{where}.rate: must be positive")
+    _object(spec, {"kind", *params}, set(params), where)
+    for key, check in params.items():
+        check(spec[key], f"{where}.{key}")
     if kind == "uniform" and not spec["a"] < spec["b"]:
         raise ConfigError(f"{where}.a: need a < b")
-    if kind == "bump" and not spec["width"] > 0:
-        raise ConfigError(f"{where}.width: must be positive")
-    if kind == "csv" and not isinstance(spec["path"], str):
-        raise ConfigError(f"{where}.path: must be a string")
 
 
-# the parameters each command can sweep; other commands take no sweep
-SWEEPABLE = {"counterexample": ("delta", "t"), "radial": ("delta", "t")}
+def _validate(raw, origin: dict) -> ExperimentConfig:
+    """Apply the field table to a dict of the config file's shape.  ``origin``
+    maps a field path ("lambda", "grid.n", "sweep") to the flag or variable
+    that set it; other fields are named ``config.<path>``.  Density specs are
+    kept as written, since they enter the config hash."""
+
+    def name(path: str) -> str:
+        return origin.get(path) or origin.get(path.partition(".")[0], f"config.{path}")
+
+    _object(raw, {"command", "densities", *FIELDS, "grid", "sweep", "output"}, {"command"}, "config")
+    cfg = ExperimentConfig(command=raw["command"])
+    if cfg.command not in VALID_COMMANDS:
+        raise ConfigError(f"config.command: unknown command {cfg.command!r}")
+    cfg.densities = raw.get("densities", [])
+    if not isinstance(cfg.densities, list):
+        raise ConfigError("config.densities: must be a list")
+    for i, spec in enumerate(cfg.densities):
+        _check_density(spec, i)
+    for key, check in FIELDS.items():
+        if key in raw:
+            setattr(cfg, "lambda_" if key == "lambda" else key, check(raw[key], name(key)))
+    if "grid" in raw:
+        grid = _object(raw["grid"], {"min", "max", "n"}, {"min", "max", "n"}, name("grid"))
+        lo = _number(grid["min"], name("grid.min"))
+        hi = _number(grid["max"], name("grid.max"))
+        if not lo < hi:
+            raise ConfigError(f"{name('grid.min')}: need min < max")
+        cfg.grid = {"min": lo, "max": hi, "n": GRID_N(grid["n"], name("grid.n"))}
+    if raw.get("sweep") is not None:
+        sweep = _object(raw["sweep"], {"param", "values"}, {"param", "values"}, name("sweep"))
+        param, values = sweep["param"], sweep["values"]
+        allowed = SWEEPABLE.get(cfg.command, ())
+        if not allowed:
+            raise ConfigError(f"{name('sweep.param')}: command {cfg.command!r} takes no sweep")
+        if param not in allowed:
+            raise ConfigError(
+                f"{name('sweep.param')}: command {cfg.command!r} cannot sweep {param!r} "
+                f"(sweepable: {', '.join(allowed)})"
+            )
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{name('sweep.values')}: must be a nonempty list")
+        values = [FIELDS[param](v, name(f"sweep.values[{j}]")) for j, v in enumerate(values)]
+        cfg.sweep = {"param": param, "values": values}
+    if "output" in raw:
+        out = _object(raw["output"], {"path", "format"}, set(), name("output"))
+        fmt = out.get("format", "json")
+        if fmt not in ("json", "csv"):
+            raise ConfigError(f"{name('output.format')}: must be json or csv")
+        path = out.get("path")
+        if path is not None:
+            _path(path, name("output.path"))
+        cfg.output = {"path": path, "format": fmt}
+    return cfg
 
 
-def _check_sweep(command: str, param: str, where: str) -> None:
-    allowed = SWEEPABLE.get(command, ())
-    if not allowed:
-        raise ConfigError(f"{where}: command {command!r} takes no sweep")
-    if param not in allowed:
-        raise ConfigError(
-            f"{where}: command {command!r} cannot sweep {param!r} (sweepable: {', '.join(allowed)})"
-        )
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also a too-long integer or too-deep nesting
+        raise ConfigError(f"invalid JSON ({exc})") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a JSON experiment config."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"line {exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: must be an object")
-    allowed = {
-        "command", "densities", "lambda", "t", "delta", "dimension",
-        "grid", "sweep", "seed", "jobs", "output",
-    }
-    _expect_keys(raw, allowed, {"command"}, "config")
-    cfg = ExperimentConfig(command=raw["command"])
-    if cfg.command not in VALID_COMMANDS:
-        raise ConfigError(f"config.command: unknown command {cfg.command!r}")
-    densities = raw.get("densities", [])
-    if not isinstance(densities, list):
-        raise ConfigError("config.densities: must be a list")
-    for i, spec in enumerate(densities):
-        _check_density(spec, i)
-    cfg.densities = densities
-    for key, attr, check in (
-        ("lambda", "lambda_", lambda v: 0.0 < v < 1.0),
-        ("t", "t", lambda v: 0.0 < v < 1.0),
-        ("delta", "delta", lambda v: 0.0 < v < 0.5),
-    ):
-        if key in raw:
-            v = raw[key]
-            if not isinstance(v, (int, float)) or not check(float(v)):
-                raise ConfigError(f"config.{key}: out of range")
-            setattr(cfg, attr, float(v))
-    if "dimension" in raw:
-        if not isinstance(raw["dimension"], int) or raw["dimension"] < 1:
-            raise ConfigError("config.dimension: must be a positive integer")
-        cfg.dimension = raw["dimension"]
-    if "grid" in raw:
-        g = raw["grid"]
-        _expect_keys(g, {"min", "max", "n"}, {"min", "max", "n"}, "config.grid")
-        if not g["min"] < g["max"]:
-            raise ConfigError("config.grid.min: need min < max")
-        if not (isinstance(g["n"], int) and 64 <= g["n"] <= 2 ** 20):
-            raise ConfigError("config.grid.n: must be an integer in [64, 2^20]")
-        cfg.grid = {"min": float(g["min"]), "max": float(g["max"]), "n": g["n"]}
-    if "sweep" in raw and raw["sweep"] is not None:
-        s = raw["sweep"]
-        _expect_keys(s, {"param", "values"}, {"param", "values"}, "config.sweep")
-        _check_sweep(cfg.command, s["param"], "config.sweep.param")
-        vals = s["values"]
-        if not isinstance(vals, list) or len(vals) == 0:
-            raise ConfigError("config.sweep.values: must be a nonempty list")
-        for j, v in enumerate(vals):
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ConfigError(f"config.sweep.values[{j}]: must be finite")
-        cfg.sweep = {"param": s["param"], "values": [float(v) for v in vals]}
-    if "seed" in raw:
-        if not isinstance(raw["seed"], int):
-            raise ConfigError("config.seed: must be an integer")
-        cfg.seed = raw["seed"]
-    if "jobs" in raw:
-        if not isinstance(raw["jobs"], int) or raw["jobs"] < 1:
-            raise ConfigError("config.jobs: must be a positive integer")
-        cfg.jobs = raw["jobs"]
-    if "output" in raw:
-        o = raw["output"]
-        _expect_keys(o, {"path", "format"}, set(), "config.output")
-        fmt = o.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError("config.output.format: must be json or csv")
-        cfg.output = {"path": o.get("path"), "format": fmt}
-    return cfg
+    return _validate(_load_json(text), {})
 
 
 def parse_sweep_flag(text: str) -> dict:
-    """--sweep param=start:stop:count with geometrically spaced values.
-
-    Which parameters a command may sweep is checked by ``_check_sweep``."""
+    """--sweep param=start:stop:count, geometrically spaced; ``_validate`` checks them."""
     try:
         param, rng = text.split("=", 1)
         start, stop, count = rng.split(":")
@@ -224,7 +255,6 @@ def parse_sweep_flag(text: str) -> dict:
 def _build_densities(cfg: ExperimentConfig, count: int) -> list:
     if len(cfg.densities) != count:
         raise ConfigError(f"config.densities: command {cfg.command!r} needs exactly {count}")
-    make_grid(cfg.grid["min"], cfg.grid["max"], cfg.grid["n"])  # validates
     grid = (cfg.grid["min"], cfg.grid["max"], cfg.grid["n"])
     out = []
     for i, spec in enumerate(cfg.densities):
@@ -233,28 +263,19 @@ def _build_densities(cfg: ExperimentConfig, count: int) -> list:
         if m <= 0:
             raise PreconditionError(f"densities[{i}] has zero mass on the grid")
         if boundary_mass(d) > 1e-8 * m:
-            print(
-                f"warning: densities[{i}] carries boundary mass above 1e-8 of total; "
-                "widen the grid window",
-                file=sys.stderr,
-            )
+            print(f"warning: densities[{i}] carries boundary mass above 1e-8 of total; "
+                  "widen the grid window", file=sys.stderr)
         out.append(d)
     return out
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
-    return {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "grid_n": cfg.grid["n"],
-        "version": __version__,
-    }
+    return {"config_hash": cfg.config_hash(), "seed": cfg.seed, "grid_n": cfg.grid["n"],
+            "version": __version__}
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _write_report(cfg: ExperimentConfig, payload: dict, csv_rows=None, csv_summary=None) -> None:
@@ -268,10 +289,8 @@ def _write_report(cfg: ExperimentConfig, payload: dict, csv_rows=None, csv_summa
         if csv_rows:
             header = list(csv_rows[0].keys())
             lines.append(",".join(header))
-            for row in csv_rows:
-                lines.append(",".join(_fmt(row[k]) for k in header))
-        for k, v in (csv_summary or {}).items():
-            lines.append(f"# {k}={_fmt(v)}")
+            lines.extend(",".join(_fmt(row[k]) for k in header) for row in csv_rows)
+        lines.extend(f"# {k}={_fmt(v)}" for k, v in (csv_summary or {}).items())
         text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as handle:
@@ -316,14 +335,8 @@ def _counterexample_point(args):
         res = counterexample_family(cfg)
     tau = min(t, 1.0 - t)
     ratio = res.distance / math.sqrt(res.epsilon / tau) if res.epsilon > 0 else float("nan")
-    return {
-        "delta": delta,
-        "t": t,
-        "tau": tau,
-        "epsilon": res.epsilon,
-        "distance": res.distance,
-        "ratio": ratio,
-    }
+    return {"delta": delta, "t": t, "tau": tau, "epsilon": res.epsilon,
+            "distance": res.distance, "ratio": ratio}
 
 
 def _run_counterexample(cfg: ExperimentConfig, radial: bool) -> int:
@@ -358,19 +371,14 @@ def _run_hypograph(cfg: ExperimentConfig) -> int:
     """
     f, g = _build_densities(cfg, 2)
     lam = cfg.lambda_
-    from .grids import normalize
-    from .grids import sup_norm as _sup
-
     fn, gn = normalize(f), normalize(g)
-    scale = _sup(fn)
+    scale = sup_norm(fn)
     fn = GridFunction(fn.x0 * scale, fn.dx * scale, fn.values / scale)
     gn = GridFunction(gn.x0 * scale, gn.dx * scale, gn.values / scale)
     h = sup_convolution(fn, gn, lam).h
     eps = min(max(pl_deficit(h, fn, gn, lam), 1e-8), 0.9)
     theta = 0.25
-    areas = {}
-    for name, d in (("f", fn), ("g", gn), ("h", h)):
-        areas[name] = hypograph_area(d, theta, eps).area
+    areas = {k: hypograph_area(d, theta, eps).area for k, d in (("f", fn), ("g", gn), ("h", h))}
     gap = bm_two_term_gap(fn, gn, h, lam, theta, eps)
     tau = min(lam, 1.0 - lam)
     eta = math.sqrt(eps)
@@ -379,8 +387,6 @@ def _run_hypograph(cfg: ExperimentConfig) -> int:
     env = log_concave_hull(fn)
     s0 = 2.0 * eps ** theta
     recon = level_cut(env, s0)
-    from .grids import l1_distance
-
     payload = {
         "meta": _meta(cfg),
         "report": {
@@ -396,8 +402,7 @@ def _run_hypograph(cfg: ExperimentConfig) -> int:
             "hull_reconstruction_l1": l1_distance(recon, fn),
         },
     }
-    row = dict(payload["report"])
-    _write_report(cfg, payload, csv_rows=[row])
+    _write_report(cfg, payload, csv_rows=[dict(payload["report"])])
     return 0
 
 
@@ -423,20 +428,20 @@ def _run_invariants(cfg: ExperimentConfig) -> int:
 # entry point
 
 
+RUNNERS = {
+    "deficit": _run_deficit,
+    "stability": _run_stability,
+    "counterexample": lambda cfg: _run_counterexample(cfg, radial=False),
+    "radial": lambda cfg: _run_counterexample(cfg, radial=True),
+    "hypograph": _run_hypograph,
+    "invariants": _run_invariants,
+}
+
+
 def run(cfg: ExperimentConfig) -> int:
-    if cfg.command == "deficit":
-        return _run_deficit(cfg)
-    if cfg.command == "stability":
-        return _run_stability(cfg)
-    if cfg.command == "counterexample":
-        return _run_counterexample(cfg, radial=False)
-    if cfg.command == "radial":
-        return _run_counterexample(cfg, radial=True)
-    if cfg.command == "hypograph":
-        return _run_hypograph(cfg)
-    if cfg.command == "invariants":
-        return _run_invariants(cfg)
-    raise ConfigError(f"config.command: unknown command {cfg.command!r}")
+    if cfg.command not in RUNNERS:
+        raise ConfigError(f"config.command: unknown command {cfg.command!r}")
+    return RUNNERS[cfg.command](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,65 +461,59 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# argparse dest of each flag --<dest> -> the config field it overrides
+FLAG_FIELDS = {
+    "lambda_": "lambda", "t": "t", "delta": "delta", "dimension": "dimension", "n": "grid.n",
+    "seed": "seed", "sweep": "sweep", "jobs": "jobs", "out": "output.path",
+    "format": "output.format",
+}
+
+
+def _merge_flags(raw: dict, args) -> tuple:
+    """``raw`` with the flags and PLSTAB_SEED folded in, and the origin of each."""
+    overrides = [
+        (f"--{dest.rstrip('_')}", path, getattr(args, dest)) for dest, path in FLAG_FIELDS.items()
+    ]
+    if "PLSTAB_SEED" in os.environ:
+        try:
+            overrides.append(("PLSTAB_SEED", "seed", int(os.environ["PLSTAB_SEED"])))
+        except ValueError as exc:
+            raise ConfigError("PLSTAB_SEED: must be an integer") from exc
+    merged, origin = dict(raw), {}
+    for flag, path, value in overrides:
+        if value is None:
+            continue
+        if flag == "--sweep":
+            value = parse_sweep_flag(value)
+        key, _, sub = path.partition(".")
+        if sub:  # a grid or output field: fill the rest from the file or the defaults
+            default = getattr(ExperimentConfig(args.command), key)
+            value = {**default, **merged.get(key, {}), sub: value}
+        merged[key] = value
+        origin[path] = flag
+    return merged, origin
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        raw = {"command": args.command}
         if args.config:
             try:
                 with open(args.config) as handle:
-                    text = handle.read()
+                    raw = _load_json(handle.read())
             except OSError as exc:
                 raise ConfigError(f"--config: cannot read {args.config!r} ({exc.strerror})") from exc
-            cfg = parse_config(text)
-            if cfg.command != args.command:
+            command = _validate(raw, {}).command
+            if command != args.command:
                 raise ConfigError(
-                    f"config.command: {cfg.command!r} does not match CLI command {args.command!r}"
+                    f"config.command: {command!r} does not match CLI command {args.command!r}"
                 )
-        else:
-            cfg = ExperimentConfig(command=args.command)
-        if args.lambda_ is not None:
-            if not 0.0 < args.lambda_ < 1.0:
-                raise ConfigError("--lambda: out of range")
-            cfg.lambda_ = args.lambda_
-        if args.t is not None:
-            if not 0.0 < args.t < 1.0:
-                raise ConfigError("--t: out of range")
-            cfg.t = args.t
-        if args.delta is not None:
-            if not 0.0 < args.delta < 0.5:
-                raise ConfigError("--delta: out of range")
-            cfg.delta = args.delta
-        if args.dimension is not None:
-            if args.dimension < 1:
-                raise ConfigError("--dimension: must be >= 1")
-            cfg.dimension = args.dimension
-        if args.n is not None:
-            if not 64 <= args.n <= 2 ** 20:
-                raise ConfigError("--n: must lie in [64, 2^20]")
-            cfg.grid["n"] = args.n
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if "PLSTAB_SEED" in os.environ:
-            try:
-                cfg.seed = int(os.environ["PLSTAB_SEED"])
-            except ValueError as exc:
-                raise ConfigError("PLSTAB_SEED: must be an integer") from exc
-        if args.sweep is not None:
-            cfg.sweep = parse_sweep_flag(args.sweep)
-            _check_sweep(cfg.command, cfg.sweep["param"], "--sweep")
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs: must be >= 1")
-            cfg.jobs = args.jobs
-        if args.out is not None:
-            cfg.output["path"] = args.out
-        if args.format is not None:
-            cfg.output["format"] = args.format
-        return run(cfg)
+        return run(_validate(*_merge_flags(raw, args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, PreconditionError) as exc:

@@ -136,14 +136,6 @@ def support_indices(f: GridFunction):
     return int(idx[0]), int(idx[-1])
 
 
-def resample(f: GridFunction, x0: float, dx: float, n: int) -> GridFunction:
-    """Resample onto another uniform grid by linear interpolation at centers."""
-    if dx <= 0 or n < 2:
-        raise DomainError("need dx > 0 and n >= 2")
-    xs = x0 + dx * np.arange(n)
-    return GridFunction(x0, dx, f.evaluate(xs))
-
-
 def l1_distance(f: GridFunction, g: GridFunction) -> float:
     """L1 distance between the piecewise-linear interpolants of f and g.
 
@@ -197,15 +189,20 @@ def from_csv(path) -> GridFunction:
     xs, vs = [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "x":
-                continue
-            if len(row) != 2:
-                raise DomainError(f"expected two columns, got {len(row)}: {row!r}")
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+        try:
+            for row in reader:
+                if not row or row[0].strip().startswith("#"):
+                    continue
+                if row[0].strip().lower() == "x":
+                    continue
+                if len(row) != 2:
+                    raise DomainError(f"expected two columns, got {len(row)}: {row!r}")
+                xs.append(float(row[0]))
+                vs.append(float(row[1]))
+        except (DomainError, UnicodeDecodeError):  # the latter is an i/o error, not a row's
+            raise
+        except (csv.Error, ValueError) as exc:  # a non-numeric cell or an oversized field
+            raise DomainError(f"row {reader.line_num}: {exc}") from None
     if len(xs) < 2:
         raise DomainError("need at least two samples")
     x = np.asarray(xs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import DomainError, GridFunction, PreconditionError, SUPPORT_THRESHOLD
-from .transport import CDF_RESOLUTION, Cdf, MonotoneMap
+from .transport import Cdf, MonotoneMap
 from . import supconv as _sc
 
 
@@ -144,10 +144,8 @@ def radial_deficit(f: RadialProfile, g: RadialProfile) -> float:
     b = m.Tprime
     # drop cells where the weighted CDF has saturated in double precision:
     # there the Jacobian ratio is rounding noise under an exploding weight
-    probs = _weighted_cdf(fn).value_at(r)
-    resolvable = (probs > CDF_RESOLUTION) & (probs < 1.0 - CDF_RESOLUTION)
     ok = (
-        resolvable
+        _weighted_cdf(fn).resolvable(r)
         & np.isfinite(b)
         & np.isfinite(a)
         & (a > 0)

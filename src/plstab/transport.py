@@ -11,7 +11,7 @@ kept available as a diagnostic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,10 @@ from .grids import (
 )
 
 TOL_CDF = 1e-8  # cdf endpoint tolerance after normalization
+# cells whose cumulative mass sits closer to 0 or 1 than this are dropped
+# from deficit integrals: beyond it the double-precision CDF saturates and
+# the Jacobian ratio turns into rounding noise amplified by huge weights
+CDF_RESOLUTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,11 @@ class Cdf:
 
     def value_at(self, x) -> np.ndarray:
         return np.interp(x, self.edges, self.values, left=0.0, right=1.0)
+
+    def resolvable(self, x) -> np.ndarray:
+        """Where the cumulative mass at x lies farther than CDF_RESOLUTION from 0 and 1."""
+        p = self.value_at(x)
+        return (p > CDF_RESOLUTION) & (p < 1.0 - CDF_RESOLUTION)
 
     def quantile(self, p):
         """Generalized inverse with linear interpolation inside cells."""
@@ -81,10 +90,6 @@ def cdf(f: GridFunction) -> Cdf:
     acc = np.minimum(acc, 1.0)
     acc[-1] = 1.0
     return Cdf(edges, acc)
-
-
-def quantile(F: Cdf, p):
-    return F.quantile(p)
 
 
 @dataclass(frozen=True)
@@ -140,11 +145,6 @@ def monotone_transport(f: GridFunction, g: GridFunction) -> MonotoneMap:
     return MonotoneMap(xs, T, Tp)
 
 
-def inverse_map(m: MonotoneMap, g: GridFunction, f: GridFunction) -> MonotoneMap:
-    """Inverse coupling S with g(y) = f(S(y)) * S'(y), sampled on g's grid."""
-    return monotone_transport(g, f)
-
-
 def excluded_mass(f: GridFunction, m: MonotoneMap) -> float:
     """f-mass on cells where T' carries the +inf sentinel."""
     bad = m.sentinel_mask()
@@ -154,12 +154,6 @@ def excluded_mass(f: GridFunction, m: MonotoneMap) -> float:
 def _deficit_integrand(tprime: np.ndarray, lam: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         return (1.0 - np.sqrt(tprime)) ** 2 / tprime ** (1.0 - lam)
-
-
-# cells whose cumulative mass sits closer to 0 or 1 than this are dropped
-# from deficit integrals: beyond it the double-precision CDF saturates and
-# the Jacobian ratio turns into rounding noise amplified by huge weights
-CDF_RESOLUTION = 1e-12
 
 
 def transport_deficit(
@@ -174,13 +168,18 @@ def transport_deficit(
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie in (0, 1)")
     fn = normalize(f)
-    gn = normalize(g)
+    return _map_deficit(fn, monotone_transport(fn, normalize(g)), lam, sentinel_cap)
+
+
+def _map_deficit(
+    fn: GridFunction, m: MonotoneMap, lam: float, sentinel_cap: float | None = None
+) -> float:
+    """The transport deficit of a normalized density fn under its map m,
+    so one map can serve several lambdas."""
     tau = min(lam, 1.0 - lam)
-    m = monotone_transport(fn, gn)
     fv = fn.values
-    probs = cdf(fn).value_at(fn.centers)
-    resolvable = (probs > CDF_RESOLUTION) & (probs < 1.0 - CDF_RESOLUTION)
     term = np.zeros_like(fv)
+    resolvable = cdf(fn).resolvable(fn.centers)
     ok = resolvable & np.isfinite(m.Tprime) & (m.Tprime > 0) & (fv > SUPPORT_THRESHOLD)
     term[ok] = fv[ok] * _deficit_integrand(m.Tprime[ok], lam)
     if sentinel_cap is not None:

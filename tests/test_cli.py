@@ -2,8 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plstab.cli import ConfigError, main, parse_config, parse_sweep_flag
+from plstab.cli import (
+    VALID_COMMANDS,
+    ConfigError,
+    _build_densities,
+    main,
+    parse_config,
+    parse_sweep_flag,
+)
+from plstab.grids import DomainError, PreconditionError
 
 
 GOOD_CONFIG = """
@@ -293,3 +303,203 @@ def test_degenerate_fit_is_precondition_error(capsys):
     args = ["radial", "--sweep", "delta=0.01:0.1:4", "--dimension", "100", "--n", "2048"]
     assert main(args) == 3
     assert "no spread" in capsys.readouterr().err
+
+
+GAUSS = {"kind": "gaussian", "mu": 0.0, "sigma": 1.0}
+
+
+def deficit_config(**fields):
+    cfg = {"command": "deficit", "densities": [GAUSS, GAUSS],
+           "grid": {"min": -8.0, "max": 8.0, "n": 128}}
+    cfg.update(fields)
+    return cfg
+
+
+def run_config(tmp_path, capsys, cfg, *flags):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    code = main([cfg["command"], "--config", str(path), *flags])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        (deficit_config(grid=5), "config.grid"),
+        ({"command": "counterexample", "sweep": 5}, "config.sweep"),
+        (deficit_config(grid={"min": "a", "max": "b", "n": 128}), "config.grid.min"),
+        (deficit_config(grid={"min": -float("inf"), "max": 8.0, "n": 128}), "config.grid.min"),
+        (deficit_config(densities=[{"kind": "gaussian", "mu": "0", "sigma": 1}, GAUSS]),
+         "densities[0].mu"),
+        (deficit_config(densities=[GAUSS, {"kind": "gaussian", "mu": 0, "sigma": "1"}]),
+         "densities[1].sigma"),
+        (deficit_config(densities=[{"kind": "uniform", "a": 0, "b": None}, GAUSS]), "densities[0].b"),
+        (deficit_config(densities=[{"kind": "bump", "center": [1], "width": 1}, GAUSS]),
+         "densities[0].center"),
+        (deficit_config(densities=[{"kind": ["gaussian"]}, GAUSS]), "densities[0].kind"),
+        (deficit_config(seed=True), "config.seed"),
+        (deficit_config(**{"lambda": False}), "config.lambda"),
+        (deficit_config(output={"path": 5}), "config.output.path"),
+    ],
+)
+def test_malformed_config_is_named_config_error(tmp_path, capsys, cfg, field):
+    code, err = run_config(tmp_path, capsys, cfg)
+    assert code == 2
+    assert f"config error: {field}:" in err
+
+
+@pytest.mark.parametrize("param, values, bad", [("delta", [0.01, 0.6], 1), ("t", [1.5, 0.5], 0)])
+def test_out_of_range_sweep_value_from_file(tmp_path, capsys, param, values, bad):
+    cfg = {"command": "counterexample", "sweep": {"param": param, "values": values}}
+    code, err = run_config(tmp_path, capsys, cfg)
+    assert code == 2
+    assert f"config.sweep.values[{bad}]: {values[bad]!r} is outside" in err
+
+
+@pytest.mark.parametrize("sweep", ["t=0.2:1.5:3", "delta=0.01:0.6:3", "delta=nan:1:3"])
+def test_out_of_range_sweep_value_from_flag(capsys, sweep):
+    assert main(["counterexample", "--sweep", sweep, "--n", "512"]) == 2
+    assert "config error: --sweep:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, flags, named",
+    [
+        ({"lambda": 1.5}, ["--lambda", "0.3"], "config.lambda"),
+        ({"grid": {"min": -8.0, "max": 8.0, "n": 10}}, ["--n", "1024"], "config.grid.n"),
+        ({"seed": "7"}, ["--seed", "7"], "config.seed"),
+    ],
+)
+def test_bad_file_field_rejected_under_flag(tmp_path, capsys, field, flags, named):
+    code, err = run_config(tmp_path, capsys, deficit_config(**field), *flags)
+    assert code == 2
+    assert f"config error: {named}:" in err
+
+
+@pytest.mark.parametrize(
+    "flags, named", [(["--lambda", "1.5"], "--lambda"), (["--n", "32"], "--n"),
+                     (["--jobs", "0"], "--jobs"), (["--dimension", "0"], "--dimension")],
+)
+def test_flag_error_names_flag(tmp_path, capsys, flags, named):
+    code, err = run_config(tmp_path, capsys, deficit_config(), *flags)
+    assert code == 2
+    assert f"config error: {named}:" in err
+
+
+def test_bad_env_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PLSTAB_SEED", "seven")
+    code, err = run_config(tmp_path, capsys, deficit_config())
+    assert (code, err) == (2, "config error: PLSTAB_SEED: must be an integer\n")
+
+
+@pytest.mark.parametrize("text", ['{"command": "deficit", "seed": ' + "1" * 5000 + "}", "[" * 100000])
+def test_unreadable_json_is_config_error(text):
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        parse_config(text)
+
+
+def test_non_numeric_csv_cell_is_precondition_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,value\n0.0,1.0\n1.0,abc\n2.0,1.0\n")
+    cfg = deficit_config(densities=[{"kind": "csv", "path": str(bad)}, GAUSS])
+    code, err = run_config(tmp_path, capsys, cfg)
+    assert code == 3
+    assert "row 3: could not convert string to float: 'abc'" in err
+
+
+def test_undecodable_csv_and_config_are_io_errors(tmp_path, capsys):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"x,value\n0.0,\xff\n")
+    cfg = deficit_config(densities=[{"kind": "csv", "path": str(binary)}, GAUSS])
+    code, err = run_config(tmp_path, capsys, cfg)
+    assert code == 2 and err.startswith("i/o error:")
+    assert main(["deficit", "--config", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("i/o error:")
+
+
+# every JSON value kind, including NaN and +-Infinity, which json.loads accepts; the
+# small numbers make some mutated configs valid, so the density builders see them too
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-3, 300) | st.floats()
+    | st.floats(-10.0, 10.0) | st.text("ab01.-en", max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def densities_of(csv_path):
+    small = st.floats(-3.0, 3.0)
+    scale = st.floats(0.1, 3.0)
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("gaussian"), "mu": small, "sigma": scale}),
+        st.fixed_dictionaries({"kind": st.just("exponential"), "rate": scale}),
+        st.fixed_dictionaries({"kind": st.just("uniform"), "a": st.floats(-3.0, 0.0), "b": scale}),
+        st.fixed_dictionaries({"kind": st.just("bump"), "center": small, "width": scale}),
+        st.just({"kind": "csv", "path": csv_path}),
+    )
+
+
+def valid_configs(csv_path):
+    """Configs that name every field, with values inside their ranges."""
+    sweeps = st.fixed_dictionaries({
+        "param": st.sampled_from(["delta", "t"]),
+        "values": st.lists(st.floats(0.01, 0.4), min_size=1, max_size=3),
+    })
+    return st.sampled_from(VALID_COMMANDS).flatmap(lambda command: st.fixed_dictionaries({
+        "command": st.just(command),
+        "densities": st.lists(densities_of(csv_path), min_size=2, max_size=2),
+        "lambda": st.floats(0.05, 0.95),
+        "t": st.floats(0.05, 0.95),
+        "delta": st.floats(0.01, 0.4),
+        "dimension": st.integers(1, 5),
+        "grid": st.fixed_dictionaries({
+            "min": st.floats(-10.0, -1.0), "max": st.floats(1.0, 10.0), "n": st.integers(64, 256),
+        }),
+        "sweep": sweeps if command in ("counterexample", "radial") else st.none(),
+        "seed": st.integers(),
+        "jobs": st.integers(1, 4),
+        "output": st.fixed_dictionaries({"path": st.none(), "format": st.sampled_from(["json", "csv"])}),
+    }))
+
+
+def field_paths(obj, prefix=()):
+    """Every position in a JSON document, the document itself included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from field_paths(value, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def csv_density(tmp_path_factory):
+    from plstab.densities import gaussian
+    from plstab.grids import to_csv
+
+    path = tmp_path_factory.mktemp("csv") / "density.csv"
+    to_csv(gaussian(0.0, 1.0, -6.0, 6.0, 128), path)
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_json_in_any_field_is_accepted_or_named(csv_density, data):
+    cfg = data.draw(valid_configs(csv_density))
+    for _ in range(data.draw(st.integers(0, 3))):
+        path = data.draw(st.sampled_from(list(field_paths(cfg))))
+        value = data.draw(json_values)
+        if not path:
+            cfg = value
+            continue
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        parsed = parse_config(json.dumps(cfg))
+    except ConfigError:
+        return
+    if parsed.grid["n"] <= 256:
+        try:
+            _build_densities(parsed, len(parsed.densities))
+        except (ConfigError, DomainError, PreconditionError, OSError):
+            pass

@@ -18,7 +18,7 @@ from plstab import (
     translate,
 )
 from plstab.densities import exponential, gaussian, uniform
-from plstab.grids import from_csv, resample, to_csv
+from plstab.grids import from_csv, to_csv
 
 from conftest import normal_cdf
 
@@ -119,11 +119,6 @@ def test_support_window_validation():
         SupportWindow(0, 1, threshold=-1.0)
 
 
-def test_resample_identity(gauss_pi):
-    g = resample(gauss_pi, gauss_pi.x0, gauss_pi.dx, gauss_pi.n)
-    assert np.max(np.abs(g.values - gauss_pi.values)) <= 1e-12
-
-
 grid_values = st.lists(st.floats(0.0, 10.0), min_size=4, max_size=48)
 
 
@@ -162,4 +157,15 @@ def test_csv_rejects_uneven_spacing(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.0,1.0\n0.1,1.0\n0.25,1.0\n")
     with pytest.raises(DomainError, match="equally spaced"):
+        from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [("1.0,abc", "could not convert"), ("1.0," + "1" * 200_000, "field limit")],
+)
+def test_csv_names_row_it_cannot_read(tmp_path, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,value\n0.0,1.0\n{row}\n2.0,1.0\n")
+    with pytest.raises(DomainError, match=f"row 3: .*{problem}"):
         from_csv(path)

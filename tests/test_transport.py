@@ -11,7 +11,6 @@ from plstab import (
     bad_set_measure,
     cdf,
     check_bilipschitz,
-    inverse_map,
     midpoint_deficit,
     mirror_deficit,
     monotone_transport,
@@ -89,15 +88,14 @@ def test_inverse_map_roundtrip():
     f = gaussian(0.0, 1.0, -8.0, 8.0, 4096)
     g = gaussian(0.5, 1.3, -8.0, 8.0, 4096)
     m = monotone_transport(f, g)
-    s = inverse_map(m, g, f)
+    s = monotone_transport(g, f)
     bulk = np.abs(m.x) <= 2.0
     s_of_t = np.interp(m.T[bulk], s.x, s.T)
     assert np.max(np.abs(s_of_t - m.x[bulk])) <= 2 * f.dx
 
 
 def test_inverse_of_identity(gauss_pi):
-    m = monotone_transport(gauss_pi, gauss_pi)
-    s = inverse_map(m, gauss_pi, gauss_pi)
+    s = monotone_transport(gauss_pi, gauss_pi)
     bulk = gauss_pi.values > 1e-3
     assert np.max(np.abs(s.T[bulk] - s.x[bulk])) <= 1e-6
 
