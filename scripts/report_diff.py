@@ -7,7 +7,8 @@ temporary directories that hold the same ``write_inputs`` files.  Per config it
 prints ``identical`` when the report and the printed stdout match byte for
 byte, and otherwise one line per numeric field that moved, with the largest
 absolute and relative difference over the field's occurrences (list indices
-are folded, so ``rows[].epsilon`` covers every row).  This is the gate for a
+are folded, so ``rows[].epsilon`` covers every row; a CSV report is compared
+by its ``# key=value`` lines and its row cells).  This is the gate for a
 change that moves reported numbers on purpose; ``report_hashes.py`` is the
 gate for one that must not move any.
 
@@ -49,6 +50,33 @@ def run_tree(tree: str, work: str) -> dict:
                 report = handle.read()
         results[name] = (proc.returncode, proc.stdout, proc.stderr, report)
     return results
+
+
+def parse_report(text: str):
+    """A JSON report as parsed; a CSV report as its ``# key=value`` lines plus
+    ``rows``, a list of {column: cell}, with numeric cells as floats."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+
+    def cell(value: str):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    out, rows, header = {}, [], None
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            out[key] = cell(value)
+        elif header is None:
+            header = line.split(",")
+        else:
+            rows.append(dict(zip(header, map(cell, line.split(",")))))
+    out["rows"] = rows
+    return out
 
 
 def is_number(value) -> bool:
@@ -101,7 +129,7 @@ def main() -> int:
             print(f"identical  {name}")
             continue
         moved, mismatches = {}, []
-        compare(json.loads(old[3]), json.loads(new[3]), "", moved, mismatches)
+        compare(parse_report(old[3]), parse_report(new[3]), "", moved, mismatches)
         if old[1] != new[1]:
             mismatches.append("stdout differs")
         print(f"differs    {name}")

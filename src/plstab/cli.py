@@ -142,6 +142,15 @@ DENSITY_PARAMS = {
 }
 # the parameters each command can sweep; other commands take no sweep
 SWEEPABLE = {"counterexample": ("delta", "t"), "radial": ("delta", "t")}
+# each sweep point is a full run (~0.05 s at n = 4096), so this bounds a sweep's time
+MAX_SWEEP_POINTS = 1000
+# the length scale of each density kind, which must not fall below the grid spacing
+WIDTHS = {
+    "gaussian": ("sigma", lambda p: p["sigma"]),
+    "exponential": ("1/rate", lambda p: 1.0 / p["rate"]),
+    "uniform": ("b - a", lambda p: p["b"] - p["a"]),
+    "bump": ("width", lambda p: p["width"]),
+}
 
 
 def _object(obj, allowed: set, required: set, where: str) -> dict:
@@ -212,6 +221,8 @@ def _validate(raw, origin: dict) -> ExperimentConfig:
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{name('sweep.values')}: must be a nonempty list")
+        if len(values) > MAX_SWEEP_POINTS:
+            raise ConfigError(f"{name('sweep.values')}: {len(values)} points, at most {MAX_SWEEP_POINTS}")
         values = [FIELDS[param](v, name(f"sweep.values[{j}]")) for j, v in enumerate(values)]
         cfg.sweep = {"param": param, "values": values}
     if "output" in raw:
@@ -248,6 +259,8 @@ def parse_sweep_flag(text: str) -> dict:
         raise ConfigError(f"--sweep: expected param=start:stop:count, got {text!r}") from exc
     if count < 2 or start <= 0 or stop <= start:
         raise ConfigError("--sweep: need 0 < start < stop and count >= 2")
+    if count > MAX_SWEEP_POINTS:  # checked before the list is built
+        raise ConfigError(f"--sweep: {count} points, at most {MAX_SWEEP_POINTS}")
     values = np.exp(np.linspace(math.log(start), math.log(stop), count))
     return {"param": param, "values": [float(v) for v in values]}
 
@@ -256,8 +269,16 @@ def _build_densities(cfg: ExperimentConfig, count: int) -> list:
     if len(cfg.densities) != count:
         raise ConfigError(f"config.densities: command {cfg.command!r} needs exactly {count}")
     grid = (cfg.grid["min"], cfg.grid["max"], cfg.grid["n"])
+    dx = (grid[1] - grid[0]) / (grid[2] - 1)
     out = []
     for i, spec in enumerate(cfg.densities):
+        if spec["kind"] in WIDTHS:
+            label, width = WIDTHS[spec["kind"]]
+            w = width(spec)
+            if not w >= dx:
+                raise PreconditionError(
+                    f"densities[{i}].{label}: {w!r} is below the grid spacing {dx!r}; "
+                    "widen the density or refine the grid")
         d = BUILDERS[spec["kind"]]({k: v for k, v in spec.items() if k != "kind"}, grid)
         m = mass(d)
         if m <= 0:

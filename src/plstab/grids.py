@@ -11,6 +11,7 @@ wide enough that the boundary cells carry negligible mass.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,17 @@ class GridFunction:
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "dx", float(self.dx))
 
+    @classmethod
+    def _unchecked(cls, x0: float, dx: float, values: np.ndarray) -> "GridFunction":
+        """An instance without the checks and the copy of ``__init__``, for a
+        caller that derives the fields from a checked instance and has checked
+        them itself.  ``values`` must be a float array nobody else writes to."""
+        obj = object.__new__(cls)
+        values.flags.writeable = False
+        for name, value in (("x0", x0), ("dx", dx), ("values", values)):
+            object.__setattr__(obj, name, value)
+        return obj
+
     @property
     def n(self) -> int:
         return self.values.size
@@ -99,8 +111,6 @@ def mass(f: GridFunction) -> float:
     Uses exact (correctly rounded) summation so the result is invariant under
     any permutation of the values, which the rearrangement code relies on.
     """
-    import math
-
     return f.dx * math.fsum(f.values)
 
 
@@ -137,18 +147,30 @@ def support_indices(f: GridFunction):
 
 
 def l1_distance(f: GridFunction, g: GridFunction) -> float:
-    """L1 distance between the piecewise-linear interpolants of f and g.
+    """L1 distance between f and g, by one of three paths.
 
-    On a shared grid this is the plain rectangle sum.  For distinct grids the
-    integral of |f - g| is evaluated exactly segment by segment over the
-    merged breakpoint set (both interpolants are linear between consecutive
-    breakpoints, and zero outside their declared ranges).  Exactness makes the
-    distance a true metric, so the triangle inequality holds regardless of how
-    the two grids interleave; per-pair resampling would break it at quadrature
-    order.
+    - Identical grids (same x0, dx and n): the plain rectangle sum
+      dx * sum|f - g|.
+    - Equal dx, different x0 or n: the exact integral of |f - g| between the
+      piecewise-linear interpolants, with the grids' interleaving in closed
+      form (``_l1_equal_spacing``).
+    - Unequal dx: the same exact integral, segment by segment over the merged
+      breakpoint set (``_l1_merged``).
+
+    The interpolants are zero outside their declared ranges.  Exactness makes
+    the distance a true metric, so the triangle inequality holds regardless of
+    how the two grids interleave; per-pair resampling would break it at
+    quadrature order.
     """
-    if f.x0 == g.x0 and f.dx == g.dx and f.n == g.n:
-        return float(f.dx * np.sum(np.abs(f.values - g.values)))
+    if f.dx == g.dx:
+        if f.x0 == g.x0 and f.n == g.n:
+            return float(f.dx * np.sum(np.abs(f.values - g.values)))
+        return _l1_equal_spacing(f, g)
+    return _l1_merged(f, g)
+
+
+def _l1_merged(f: GridFunction, g: GridFunction) -> float:
+    """Exact L1 distance of the interpolants over the merged breakpoints."""
     xs = np.unique(np.concatenate([f.centers, g.centers]))
     h = np.diff(xs)
     t1 = xs[:-1] + h / 3.0
@@ -166,6 +188,67 @@ def l1_distance(f: GridFunction, g: GridFunction) -> float:
         0.5 * tot,
     )
     return float(np.sum(h * seg))
+
+
+def _trapezoid(v: np.ndarray) -> float:
+    """Integral of the interpolant of the nodes v, in units of the spacing."""
+    return v.sum() - 0.5 * (v[0] + v[-1]) if v.size > 1 else 0.0
+
+
+def _l1_equal_spacing(f: GridFunction, g: GridFunction) -> float:
+    """Exact L1 distance of the interpolants of two grids with equal dx.
+
+    u is the grid with the smaller (x0, n), so the result does not depend on
+    the argument order.  In units of dx from u's first node, w's nodes sit at
+    j + k + theta, with k = floor(off) >= 0 and 0 <= theta < 1.  So cell
+    [i, i+1] of u's frame splits once, at i + theta: its left piece lies in
+    w-cell i-k-1 and its right piece in w-cell i-k.  Both grids reach only
+    cells k .. c; outside them one interpolant is zero and the distance is the
+    other one's trapezoid mass.  On cells k .. c, w's cell ends are
+    zero-padded, so a piece outside w's node range counts as 0 (the
+    interpolant jumps to zero at the grid's ends, it does not ramp).  Each
+    piece is then one exact integral of |linear|.  No sort, no search.
+    """
+    u, w = (f, g) if (f.x0, f.n) <= (g.x0, g.n) else (g, f)
+    uv, wv = u.values, w.values
+    off = (w.x0 - u.x0) / u.dx
+    if off >= u.n - 1:  # the node ranges meet at most at a point
+        return float(u.dx * (_trapezoid(uv) + _trapezoid(wv)))
+    k = math.floor(off)
+    theta = off - k
+    c = min(u.n - 2, k + w.n - 1)
+    cells = c - k + 1
+    ua, ub = uv[k : c + 1], uv[k + 1 : c + 2]
+    # w-cell j sits in slot j+1: the left piece of cell k+q reads slot q, the right piece slot q+1
+    wa, wb = np.zeros(cells + 1), np.zeros(cells + 1)
+    top = min(cells, w.n - 1)
+    wa[1 : top + 1] = wv[:top]
+    wb[1 : top + 1] = wv[1 : top + 1]
+    u_split = ub - ua  # u at the split point i + theta
+    u_split *= theta
+    u_split += ua
+    w_node = wb - wa  # slot q's w-cell at u's node k+q
+    w_node *= 1.0 - theta
+    w_node += wa
+    # row 0 the left pieces, row 1 the right pieces: |e| runs linearly from |e0| to |e1|
+    e0, e1 = np.empty((2, cells)), np.empty((2, cells))
+    np.subtract(ua, w_node[:-1], out=e0[0])
+    np.subtract(u_split, wa[1:], out=e0[1])
+    np.subtract(u_split, wb[:-1], out=e1[0])
+    np.subtract(ub, w_node[1:], out=e1[1])
+    # mean |e| = (|e0| + |e1|)/2, less |e0*e1|/(|e0| + |e1|) where the sign changes
+    cut = e0 * e1
+    np.minimum(cut, 0.0, out=cut)
+    np.abs(e0, out=e0)
+    np.abs(e1, out=e1)
+    e0 += e1
+    np.maximum(e0, 5e-324, out=e1)  # 0/0 only where e0 = e1 = 0, and cut is 0 there
+    cut /= e1
+    left, right = 0.5 * e0.sum(axis=1) + cut.sum(axis=1)
+    outside = _trapezoid(uv[: k + 1]) + _trapezoid(uv[c + 1 :])
+    if c - k < w.n - 1:  # w runs past u's last node: the rest of w-cell c-k, then whole cells
+        outside += 0.5 * theta * (w_node[-1] + wv[c - k + 1]) + _trapezoid(wv[c - k + 1 :])
+    return float(u.dx * (theta * left + (1.0 - theta) * right + outside))
 
 
 def tail_mass(f: GridFunction, window: SupportWindow) -> float:

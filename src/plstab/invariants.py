@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import l1_distance, mass, scale_amplitude, sup_norm
+from .grids import mass, scale_amplitude, sup_norm
 from .levelsets import (
     check_rearranged_pl,
     numerical_lemma_gap,

@@ -202,22 +202,34 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     jumps to zero at the edges of v's grid.  A stretch of lattice is skipped
     only when L proves every point in it above the best value found, with a
     slack of 1e-9*(mass(u) + a*mass(v)) for round-off.  A lattice point whose
-    translated grid is u's own takes ``l1_distance``'s rectangle sum instead
-    of the interpolant metric, so it is always evaluated.  The result is
-    therefore bit for bit that of evaluating every lattice point: the same
-    first minimiser, and the same refinement from it.
+    translated grid is u's own takes ``l1_distance``'s identical-grid
+    rectangle sum instead of the interpolant metric, so it is always
+    evaluated.  The result is therefore bit for bit that of evaluating every
+    lattice point: the same first minimiser, and the same refinement from it.
+    Every other probe is an exact interpolant metric: the equal-spacing path
+    when u and v share dx, the merged-breakpoint path otherwise.  A probe
+    reads v shifted and scaled (x0 + s, values * a, the arithmetic of
+    ``translate`` and ``scale_amplitude``) without their per-call checks,
+    which are made once for the whole search.
     """
     mu, mv = mass(u), mass(v)
     if mu <= 0 or mv <= 0:
         raise DomainError("zero mass")
     dx = min(u.dx, v.dx)
     ratio = mu / mv
+    span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
+    center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
+    # translate's and scale_amplitude's checks, made once for all probes: a probe
+    # shifts less than 8*dx past the lattice and scales by at most 2*ratio
+    if not math.isfinite(abs(v.x0) + abs(center) + span + 8.0 * dx):
+        raise DomainError("shift must be finite")
+    if optimize_scale and not (0.5 * ratio > 0 and math.isfinite(2.0 * ratio * float(np.max(v.values)))):
+        raise DomainError("amplitude factor must be positive and finite")
 
     def dist(s: float, a: float) -> float:
-        w = translate(v, s)
-        if a != 1.0:
-            w = scale_amplitude(w, a)
-        return l1_distance(u, w)
+        # translate(v, s), then scale_amplitude(., a): the same arithmetic, no per-probe checks
+        values = v.values if a == 1.0 else v.values * a
+        return l1_distance(u, GridFunction._unchecked(v.x0 + s, v.dx, values))
 
     best = {"d": math.inf, "s": 0.0, "a": 1.0}
 
@@ -228,8 +240,6 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
         return d
 
     a_cur = ratio if optimize_scale else 1.0
-    span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
-    center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
     shifts = center + np.arange(-span, span + 2 * dx, 4.0 * dx)
     exact = (v.x0 + shifts == u.x0) & (u.dx == v.dx) & (u.n == v.n)
     tv = v.values[0] + v.values[-1] + float(np.sum(np.abs(np.diff(v.values))))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plstab.cli import (
+    MAX_SWEEP_POINTS,
     VALID_COMMANDS,
     ConfigError,
     _build_densities,
@@ -362,6 +364,32 @@ def test_out_of_range_sweep_value_from_flag(capsys, sweep):
     assert "config error: --sweep:" in capsys.readouterr().err
 
 
+def test_sweep_point_count_is_capped(tmp_path, capsys):
+    # every point is a full run, so the cap bounds the time a sweep can take
+    assert main(["counterexample", "--sweep", "delta=0.01:0.1:200000"]) == 2
+    assert f"config error: --sweep: 200000 points, at most {MAX_SWEEP_POINTS}" in capsys.readouterr().err
+    values = [0.01] * (MAX_SWEEP_POINTS + 1)
+    code, err = run_config(tmp_path, capsys, {"command": "counterexample",
+                                              "sweep": {"param": "delta", "values": values}})
+    assert code == 2
+    assert f"config error: config.sweep.values: {len(values)} points, at most" in err
+    parse_config(json.dumps({"command": "radial", "sweep": {"param": "t", "values": values[1:]}}))
+
+
+@pytest.mark.parametrize("spec, label", [
+    ({"kind": "gaussian", "mu": 0.0, "sigma": 1e-300}, "sigma"),
+    ({"kind": "exponential", "rate": 1e3}, "1/rate"),
+    ({"kind": "uniform", "a": 0.0, "b": 0.1}, "b - a"),
+    ({"kind": "bump", "center": 0.0, "width": 0.1}, "width"),
+])
+def test_density_narrower_than_a_cell_is_precondition_error(tmp_path, capsys, spec, label):
+    cfg = deficit_config(densities=[GAUSS, spec], grid={"min": -8.0, "max": 8.0, "n": 129})
+    code, err = run_config(tmp_path, capsys, cfg)
+    assert code == 3
+    assert f"densities[1].{label}:" in err and "below the grid spacing 0.125" in err
+    assert "Warning" not in err
+
+
 @pytest.mark.parametrize(
     "field, flags, named",
     [
@@ -429,12 +457,13 @@ json_values = st.recursive(
 
 def densities_of(csv_path):
     small = st.floats(-3.0, 3.0)
-    scale = st.floats(0.1, 3.0)
+    # widths down to far below a grid cell, which the CLI rejects by name
+    width = st.floats(0.1, 3.0) | st.floats(1e-300, 0.1)
     return st.one_of(
-        st.fixed_dictionaries({"kind": st.just("gaussian"), "mu": small, "sigma": scale}),
-        st.fixed_dictionaries({"kind": st.just("exponential"), "rate": scale}),
-        st.fixed_dictionaries({"kind": st.just("uniform"), "a": st.floats(-3.0, 0.0), "b": scale}),
-        st.fixed_dictionaries({"kind": st.just("bump"), "center": small, "width": scale}),
+        st.fixed_dictionaries({"kind": st.just("gaussian"), "mu": small, "sigma": width}),
+        st.fixed_dictionaries({"kind": st.just("exponential"), "rate": st.floats(0.1, 3.0) | st.floats(3.0, 1e300)}),
+        st.fixed_dictionaries({"kind": st.just("uniform"), "a": st.floats(-3.0, 0.0), "b": width | small}),
+        st.fixed_dictionaries({"kind": st.just("bump"), "center": small, "width": width}),
         st.just({"kind": "csv", "path": csv_path}),
     )
 
@@ -443,7 +472,8 @@ def valid_configs(csv_path):
     """Configs that name every field, with values inside their ranges."""
     sweeps = st.fixed_dictionaries({
         "param": st.sampled_from(["delta", "t"]),
-        "values": st.lists(st.floats(0.01, 0.4), min_size=1, max_size=3),
+        "values": st.lists(st.floats(0.01, 0.4), min_size=1, max_size=3)
+        | st.integers(MAX_SWEEP_POINTS - 1, MAX_SWEEP_POINTS + 1).map(lambda n: [0.05] * n),
     })
     return st.sampled_from(VALID_COMMANDS).flatmap(lambda command: st.fixed_dictionaries({
         "command": st.just(command),
@@ -498,8 +528,11 @@ def test_any_json_in_any_field_is_accepted_or_named(csv_density, data):
         parsed = parse_config(json.dumps(cfg))
     except ConfigError:
         return
+    assert parsed.sweep is None or len(parsed.sweep["values"]) <= MAX_SWEEP_POINTS
     if parsed.grid["n"] <= 256:
-        try:
-            _build_densities(parsed, len(parsed.densities))
-        except (ConfigError, DomainError, PreconditionError, OSError):
-            pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an accepted density builds without overflow
+            try:
+                _build_densities(parsed, len(parsed.densities))
+            except (ConfigError, DomainError, PreconditionError, OSError):
+                pass

@@ -18,7 +18,7 @@ from plstab import (
     translate,
 )
 from plstab.densities import exponential, gaussian, uniform
-from plstab.grids import from_csv, to_csv
+from plstab.grids import _l1_merged, from_csv, to_csv
 
 from conftest import normal_cdf
 
@@ -133,6 +133,43 @@ def test_l1_triangle_inequality(a, b, c):
     dbc = l1_distance(fb, fc)
     dac = l1_distance(fa, fc)
     assert dac <= dab + dbc + 1e-9
+
+
+@st.composite
+def padded_values(draw):
+    """Cell values with runs of zeros at either edge; 2 cells at the least."""
+    core = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
+    lead, trail = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    vals = [0.0] * lead + core + [0.0] * trail
+    return np.asarray(vals if len(vals) >= 2 else vals + [draw(st.floats(0.0, 10.0))])
+
+
+# fractional cell offsets, with the ends of [0, 1) where the split pieces vanish
+thetas = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, 1e-15, 1e-9, 1.0 - 1e-9, 1.0 - 1e-15])
+
+
+@given(padded_values(), padded_values(), padded_values(), st.integers(-50, 50), thetas,
+       st.integers(-50, 50), thetas, st.floats(0.01, 2.0), st.floats(-5.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_l1_equal_spacing_matches_merged_breakpoints(a, b, c, kb, tb, kc, tc, dx, x0):
+    # overlapping, touching and disjoint supports: offsets reach past both grids
+    fa = GridFunction(x0, dx, a)
+    fb = GridFunction(x0 + (kb + tb) * dx, dx, b)
+    fc = GridFunction(x0 + (kc + tc) * dx, dx, c)
+    for p, q in ((fa, fb), (fb, fc), (fa, fc)):
+        d = l1_distance(p, q)
+        assert l1_distance(q, p) == d
+        if p.x0 == q.x0 and p.n == q.n:  # identical grids keep the rectangle sum
+            assert d == float(dx * np.sum(np.abs(p.values - q.values)))
+        else:
+            merged = _l1_merged(p, q)
+            # 1e-300: subnormal values carry absolute, not relative, precision
+            assert abs(d - merged) <= 1e-12 * merged + 1e-15 * (mass(p) + mass(q)) + 1e-300
+    # translates of one grid: three distinct frames, so every pair is an exact interpolant metric
+    ta, tb_, tc_ = fa, translate(fa, (kb + tb) * dx), translate(fa, (kc + tc) * dx)
+    if len({ta.x0, tb_.x0, tc_.x0}) == 3:
+        scale = mass(fa)
+        assert l1_distance(ta, tc_) <= l1_distance(ta, tb_) + l1_distance(tb_, tc_) + 1e-12 * scale + 1e-300
 
 
 @given(grid_values, st.floats(0.1, 5.0), st.floats(-3.0, 3.0))
