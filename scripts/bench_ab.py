@@ -8,9 +8,9 @@ timings by 25-40%.  For each workload it then runs
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
 
-on both sides for ``--pairs`` pairs, alternating which side goes first, and
-``--trace 1`` once per side.  perfbench is only ever run as a subprocess,
-from each side's own checkout.
+(N is BENCHMARK.json's run_seconds) on both sides for ``--pairs`` pairs,
+alternating which side goes first, and ``--trace 1`` once per side.
+perfbench is only ever run as a subprocess, from each side's own checkout.
 
 The JSON written to ``--out`` holds the machine facts, both revisions, and
 per workload and end-to-end metric: each side's runs, median and quartiles,
@@ -18,7 +18,7 @@ the ratio of the medians (change / parent), and the pairs each side won
 (ties count for neither), plus each side's traced per-layer metrics.
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
-      [--workloads sweep_1d,pairs_csv] [--seed 1] [--seconds 20]
+      [--workloads sweep_1d,pairs_csv] [--seed 1]
 
 Exits 1 if a benchmark run fails; its stderr is printed.
 """
@@ -124,12 +124,11 @@ def main() -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workloads", help="comma-separated; default: every workload in BENCHMARK.json")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=int, help="default: BENCHMARK.json run_seconds")
     args = p.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         spec = json.load(handle)
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     head = git("rev-parse", "HEAD").strip()
     revisions = {

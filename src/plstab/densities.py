@@ -26,7 +26,9 @@ def gaussian(mu: float, sigma: float, lo: float, hi: float, n: int) -> GridFunct
     if sigma <= 0:
         raise DomainError("sigma must be positive")
     xs = _centers(lo, hi, n)
-    vals = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    # a point whose square overflows lies so far from mu that its density is exactly 0
+    with np.errstate(over="ignore"):
+        vals = np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return GridFunction(lo, (hi - lo) / (n - 1), vals)
 
 
@@ -57,8 +59,9 @@ def bump(center: float, width: float, lo: float, hi: float, n: int) -> GridFunct
     if width <= 0:
         raise DomainError("width must be positive")
     xs = _centers(lo, hi, n)
-    u = 2.0 * (xs - center) / width
-    vals = np.where(np.abs(u) < 1.0, (1.0 - u ** 2) ** 3, 0.0)
+    with np.errstate(over="ignore"):  # an overflowing u is far outside |u| < 1
+        u = 2.0 * (xs - center) / width
+        vals = np.where(np.abs(u) < 1.0, (1.0 - u ** 2) ** 3, 0.0)
     return GridFunction(lo, (hi - lo) / (n - 1), vals)
 
 

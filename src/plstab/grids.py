@@ -57,17 +57,6 @@ class GridFunction:
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "dx", float(self.dx))
 
-    @classmethod
-    def _unchecked(cls, x0: float, dx: float, values: np.ndarray) -> "GridFunction":
-        """An instance without the checks and the copy of ``__init__``, for a
-        caller that derives the fields from a checked instance and has checked
-        them itself.  ``values`` must be a float array nobody else writes to."""
-        obj = object.__new__(cls)
-        values.flags.writeable = False
-        for name, value in (("x0", x0), ("dx", dx), ("values", values)):
-            object.__setattr__(obj, name, value)
-        return obj
-
     @property
     def n(self) -> int:
         return self.values.size

@@ -150,6 +150,119 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 60):
     return x, fn(x)
 
 
+def _linear_pieces(u: GridFunction, w: GridFunction) -> list:
+    """Groups [length, u at both ends, w at both ends] of the segments between
+    the merged breakpoints of u and w, on which both are linear.  A segment
+    lies wholly inside or wholly outside each grid's node range, and outside
+    it that grid's end values are 0, so the jumps to zero at the grid ends
+    count.  On equal spacing only the segments inside w's node range are
+    listed, in two groups (w's cells split at u's nodes); w is 0 elsewhere."""
+    if u.dx != w.dx:
+        xs = np.unique(np.concatenate([u.centers, w.centers]))
+        out = [np.diff(xs)]
+        for g in (u, w):
+            vals = g.evaluate(xs)
+            inside = (xs[:-1] >= g.x0) & (xs[1:] <= g.x_last)
+            out += [np.where(inside, vals[:-1], 0.0), np.where(inside, vals[1:], 0.0)]
+        return [out]
+    # in units of dx from u's first node, w's node j sits at k + theta + j; w-cell j
+    # splits at u's node k+j+1 into a piece in u-cell k+j and one in u-cell k+j+1
+    off = (w.x0 - u.x0) / u.dx
+    k = math.floor(off)
+    theta = off - k
+
+    def u_ends(cells: np.ndarray):
+        inside = (cells >= 0) & (cells <= u.n - 2)
+        cells = np.clip(cells, 0, u.n - 2)
+        return np.where(inside, u.values[cells], 0.0), np.where(inside, u.values[cells + 1], 0.0)
+
+    cells = k + np.arange(w.n - 1)
+    a0, a1 = u_ends(cells)
+    b0, b1 = u_ends(cells + 1)
+    w0, w1 = w.values[:-1], w.values[1:]
+    w_node = w0 + (1.0 - theta) * (w1 - w0)
+    return [[(1.0 - theta) * u.dx, a0 + theta * (a1 - a0), a1, w0, w_node],
+            [theta * u.dx, b0, b0 + theta * (b1 - b0), w_node, w1]]
+
+
+def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> float:
+    """The amplitude a in [lo, hi] that minimises l1_distance(u, a*w).
+
+    That distance F(a) is convex in a.  On identical grids it is
+    dx * sum|u_i - a*w_i|, least at the weighted median of u_i/w_i with
+    weights w_i.  On any other pair F' is a sum over the segments on which u
+    and w are both linear (``_linear_pieces``): the segment's length times the
+    mean of w*sign(a*w - u), exact once the segment is split at its one
+    crossing.  Its sign change is found by false position down to adjacent
+    floats.  A segment whose a*w - u keeps one sign at both ends across the
+    whole bracket adds a fixed term and leaves the active set.  The result
+    depends on (u, w) alone, not on the round-off of the kernels that
+    evaluate F.
+    """
+    if u.x0 == w.x0 and u.dx == w.dx and u.n == w.n:
+        pos = w.values > 0
+        ratios = u.values[pos] / w.values[pos]
+        order = np.argsort(ratios, kind="stable")
+        weight = np.cumsum(w.values[pos][order])
+        median = float(ratios[order][np.searchsorted(weight, 0.5 * weight[-1])])
+        return min(max(median, lo), hi)
+    pieces = _linear_pieces(u, w)
+    fixed = 0.0
+
+    def prune(lo: float, hi: float) -> None:
+        nonlocal pieces, fixed
+        active = []
+        for group in pieces:
+            h, u0, u1, w0, w1 = group
+            up = (lo * w0 - u0 > 0) & (lo * w1 - u1 > 0)  # a*w - u only grows with a
+            done = up | ((hi * w0 - u0 < 0) & (hi * w1 - u1 < 0))
+            fixed += float(np.sum((np.where(up, 0.5, -0.5) * h * (w0 + w1))[done]))
+            active.append([x[~done] if np.ndim(x) else x for x in group])
+        pieces = active
+
+    def slope(a: float) -> float:
+        total = fixed
+        for h, u0, u1, w0, w1 in pieces:
+            e0, e1 = a * w0 - u0, a * w1 - u1
+            mean = 0.5 * (w0 + w1)
+            cross = e0 * e1 < 0
+            t = e0 / np.where(cross, e0 - e1, 1.0)
+            # on a crossing piece: 2 * (integral of w up to the crossing) - mean, signed by e0
+            split = np.sign(e0) * (t * (2.0 * w0 + (w1 - w0) * t) - mean)
+            total += float(np.sum(h * np.where(cross, split, np.sign(e0 + e1) * mean)))
+        return total
+
+    prune(lo, hi)
+    f_lo, f_hi = slope(lo), slope(hi)
+    if f_lo >= 0.0:
+        return lo
+    if f_hi <= 0.0:
+        return hi
+    # Illinois false position on the bracket, with a bisection whenever two
+    # steps have not halved it, down to adjacent floats
+    kept, widths = 0, [math.inf, math.inf]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        a = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < a < hi or hi - lo > 0.5 * widths[-2]:
+            a = mid
+        widths.append(hi - lo)
+        d = slope(a)
+        if d == 0.0:
+            return a
+        if d < 0.0:
+            lo, f_lo = a, d
+            f_hi *= 0.5 if kept == -1 else 1.0
+            kept = -1
+        else:
+            hi, f_hi = a, d
+            f_lo *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        prune(lo, hi)
+
+
 def _lipschitz_scan(fn, xs: np.ndarray, lip: float, slack: float, exact: np.ndarray) -> dict:
     """Certified branch-and-bound for the minimum of fn over the sorted lattice xs.
 
@@ -193,8 +306,10 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     (and over a when flagged).
 
     Coarse shift search over the lattice of step 4*dx spanning both grids,
-    ternary refinement to dx/4, golden-section amplitude search over
-    [mass_ratio/2, 2*mass_ratio].  Returns (distance, shift, scale).
+    ternary refinement to dx/4; when flagged, two rounds of the exact
+    amplitude over [mass_ratio/2, 2*mass_ratio] (``_best_amplitude``) at the
+    current shift, each followed by a shift refinement, and a last exact
+    amplitude at the best shift found.  Returns (distance, shift, scale).
 
     The lattice search is a certified branch-and-bound, not a scan of every
     point.  At fixed amplitude a the distance moves with the shift at rate at
@@ -207,29 +322,19 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     evaluated.  The result is therefore bit for bit that of evaluating every
     lattice point: the same first minimiser, and the same refinement from it.
     Every other probe is an exact interpolant metric: the equal-spacing path
-    when u and v share dx, the merged-breakpoint path otherwise.  A probe
-    reads v shifted and scaled (x0 + s, values * a, the arithmetic of
-    ``translate`` and ``scale_amplitude``) without their per-call checks,
-    which are made once for the whole search.
+    when u and v share dx, the merged-breakpoint path otherwise.
     """
     mu, mv = mass(u), mass(v)
     if mu <= 0 or mv <= 0:
         raise DomainError("zero mass")
     dx = min(u.dx, v.dx)
     ratio = mu / mv
-    span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
-    center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
-    # translate's and scale_amplitude's checks, made once for all probes: a probe
-    # shifts less than 8*dx past the lattice and scales by at most 2*ratio
-    if not math.isfinite(abs(v.x0) + abs(center) + span + 8.0 * dx):
-        raise DomainError("shift must be finite")
-    if optimize_scale and not (0.5 * ratio > 0 and math.isfinite(2.0 * ratio * float(np.max(v.values)))):
-        raise DomainError("amplitude factor must be positive and finite")
 
     def dist(s: float, a: float) -> float:
-        # translate(v, s), then scale_amplitude(., a): the same arithmetic, no per-probe checks
-        values = v.values if a == 1.0 else v.values * a
-        return l1_distance(u, GridFunction._unchecked(v.x0 + s, v.dx, values))
+        w = translate(v, s)
+        if a != 1.0:
+            w = scale_amplitude(w, a)
+        return l1_distance(u, w)
 
     best = {"d": math.inf, "s": 0.0, "a": 1.0}
 
@@ -240,6 +345,8 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
         return d
 
     a_cur = ratio if optimize_scale else 1.0
+    span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
+    center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
     shifts = center + np.arange(-span, span + 2 * dx, 4.0 * dx)
     exact = (v.x0 + shifts == u.x0) & (u.dx == v.dx) & (u.n == v.n)
     tv = v.values[0] + v.values[-1] + float(np.sum(np.abs(np.diff(v.values))))
@@ -273,10 +380,15 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     snap(s_cur, a_cur)
     if optimize_scale:
         for _ in range(2):
-            a_cur, _ = _golden_min(lambda a: probe(s_cur, a), 0.5 * ratio, 2.0 * ratio)
+            a_cur = _best_amplitude(u, translate(v, s_cur), 0.5 * ratio, 2.0 * ratio)
+            probe(s_cur, a_cur)
             s_cur = refine_shift(s_cur, a_cur)
         snap(s_cur, a_cur)
     probe(s_cur, a_cur)
+    if optimize_scale:
+        # the shift has moved since the last amplitude step: make the amplitude exact at the best shift
+        s_best = best["s"]
+        probe(s_best, _best_amplitude(u, translate(v, s_best), 0.5 * ratio, 2.0 * ratio))
     return best["d"], best["s"], best["a"]
 
 

@@ -456,13 +456,14 @@ json_values = st.recursive(
 
 
 def densities_of(csv_path):
-    small = st.floats(-3.0, 3.0)
+    # positions on the grid and far off it, up to the largest floats
+    small = st.floats(-3.0, 3.0) | st.sampled_from([-1e300, 1.7e308]) | st.floats(allow_nan=False, allow_infinity=False)
     # widths down to far below a grid cell, which the CLI rejects by name
     width = st.floats(0.1, 3.0) | st.floats(1e-300, 0.1)
     return st.one_of(
         st.fixed_dictionaries({"kind": st.just("gaussian"), "mu": small, "sigma": width}),
         st.fixed_dictionaries({"kind": st.just("exponential"), "rate": st.floats(0.1, 3.0) | st.floats(3.0, 1e300)}),
-        st.fixed_dictionaries({"kind": st.just("uniform"), "a": st.floats(-3.0, 0.0), "b": width | small}),
+        st.fixed_dictionaries({"kind": st.just("uniform"), "a": st.floats(-3.0, 0.0) | small, "b": width | small}),
         st.fixed_dictionaries({"kind": st.just("bump"), "center": small, "width": width}),
         st.just({"kind": "csv", "path": csv_path}),
     )

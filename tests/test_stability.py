@@ -24,11 +24,12 @@ from plstab import (
     sup_convolution,
     translate,
 )
+import plstab.grids
 import plstab.stability
 from plstab.densities import gaussian, standard_gaussian_pi
 from plstab.stability import (
     ReductionCheckError,
-    _golden_min,
+    _best_amplitude,
     _lipschitz_scan,
     near_equality_pair,
     random_log_concave,
@@ -124,10 +125,15 @@ def flat_scan_aligned_l1_distance(u, v, optimize_scale=False):
     snap(s_cur, a_cur)
     if optimize_scale:
         for _ in range(2):
-            a_cur, _ = _golden_min(lambda a: probe(s_cur, a), 0.5 * ratio, 2.0 * ratio)
+            a_cur = _best_amplitude(u, translate(v, s_cur), 0.5 * ratio, 2.0 * ratio)
+            probe(s_cur, a_cur)
             s_cur = refine_shift(s_cur, a_cur)
         snap(s_cur, a_cur)
     probe(s_cur, a_cur)
+    if optimize_scale:
+        # the shift has moved since the last amplitude step: make the amplitude exact at the best shift
+        s_best = best["s"]
+        probe(s_best, _best_amplitude(u, translate(v, s_best), 0.5 * ratio, 2.0 * ratio))
     return best["d"], best["s"], best["a"]
 
 
@@ -142,11 +148,17 @@ def bimodal(rng, n, lo=-8.0, hi=8.0):
 @st.composite
 def aligned_pairs(draw):
     """(u, v) pairs: log-concave, bimodal, shifted and rescaled copies (some on
-    u's own grid, where l1_distance takes its rectangle-sum branch), and
-    pairs on grids of different dx."""
-    kind = draw(st.sampled_from(["log_concave", "bimodal", "copy", "mixed_dx"]))
+    u's own grid, where l1_distance takes its rectangle-sum branch), pairs
+    on grids of different dx, and rough pairs whose values stay far from 0 up
+    to the grid ends, where the interpolants jump."""
+    kind = draw(st.sampled_from(["log_concave", "bimodal", "copy", "mixed_dx", "rough"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(96, 400))
+    if kind == "rough":
+        m = draw(st.integers(96, 400))
+        dx = 6.0 / (n - 1)
+        v_dx = dx if draw(st.booleans()) else 5.0 / (m - 1)
+        return GridFunction(-3.0, dx, rng.uniform(0.2, 1.0, n)), GridFunction(-2.5, v_dx, rng.uniform(0.2, 1.0, m))
     if kind == "log_concave":
         return random_log_concave_pair(rng, n=n)
     if kind == "bimodal":
@@ -163,7 +175,27 @@ def aligned_pairs(draw):
 @settings(max_examples=60, deadline=None)
 def test_aligned_pruned_scan_matches_flat_scan(pair, optimize_scale):
     u, v = pair
-    assert aligned_l1_distance(u, v, optimize_scale) == flat_scan_aligned_l1_distance(u, v, optimize_scale)
+    d, s, a = aligned_l1_distance(u, v, optimize_scale)
+    assert (d, s, a) == flat_scan_aligned_l1_distance(u, v, optimize_scale)
+    if optimize_scale:  # the amplitude is the best one at the reported shift
+        w = translate(v, s)
+        ratio = mass(u) / mass(v)
+        grid = min(l1_distance(u, scale_amplitude(w, b)) for b in np.linspace(0.5 * ratio, 2.0 * ratio, 201))
+        assert d <= grid + 1e-12 * (mass(u) + a * mass(v))
+
+
+@given(aligned_pairs(), st.just(0.0) | st.sampled_from([0.5, 1.0]) | st.floats(-2.0, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_best_amplitude_beats_a_dense_grid(pair, cells):
+    # shift 0 keeps most pairs on u's grid, where the distance is the rectangle sum
+    u, v = pair
+    w = translate(v, cells * v.dx)
+    ratio = mass(u) / mass(w)
+    a = _best_amplitude(u, w, 0.5 * ratio, 2.0 * ratio)
+    assert 0.5 * ratio <= a <= 2.0 * ratio
+    best = l1_distance(u, scale_amplitude(w, a))
+    grid = min(l1_distance(u, scale_amplitude(w, b)) for b in np.linspace(0.5 * ratio, 2.0 * ratio, 401))
+    assert best <= grid + 1e-12 * (mass(u) + a * mass(w))
 
 
 @pytest.mark.parametrize("exact_value, minimiser", [(-5.0, 777), (100.0, 779)])
@@ -243,6 +275,20 @@ def test_stability_distance_hulled_inputs():
     h = sup_convolution(f, g, 0.5).h
     rep = stability_distance(f, g, h, 0.5)
     assert np.isfinite(rep.distance_f + rep.distance_g + rep.distance_h)
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_stability_fields_stable_under_kernel_round_off(monkeypatch, seed):
+    # the two exact L1 kernels agree to round-off; the reported shift, scale and
+    # distances must not amplify that into a visible difference
+    rng = np.random.default_rng(seed)
+    f, g = bimodal(rng, 512), bimodal(rng, 512)
+    h = sup_convolution(f, g, 0.35).h
+    equal_spacing = stability_distance(f, g, h, 0.35)
+    monkeypatch.setattr(plstab.grids, "_l1_equal_spacing", plstab.grids._l1_merged)
+    merged = stability_distance(f, g, h, 0.35)
+    for field in ("distance_f", "distance_g", "distance_h", "shift", "scale"):
+        assert getattr(merged, field) == pytest.approx(getattr(equal_spacing, field), rel=1e-12, abs=0.0)
 
 
 def test_stability_report_constant_near_equality():
