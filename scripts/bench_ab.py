@@ -15,7 +15,10 @@ perfbench is only ever run as a subprocess, from each side's own checkout.
 The JSON written to ``--out`` holds the machine facts, both revisions, and
 per workload and end-to-end metric: each side's runs, median and quartiles,
 the ratio of the medians (change / parent), and the pairs each side won
-(ties count for neither), plus each side's traced per-layer metrics.
+(ties count for neither), plus each side's traced per-layer metrics.  Per
+``--trace 0`` run it also records the minor page faults and the system CPU
+seconds of the whole perfbench process tree (``getrusage(RUSAGE_CHILDREN)``
+deltas around the subprocess), under ``rusage`` with per-side medians.
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
       [--workloads sweep_1d,pairs_csv] [--seed 1]
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -73,11 +77,20 @@ def tree_digest(path: str) -> str:
     return digest.hexdigest()
 
 
-def bench(tree: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """The metrics of one perfbench run: {name: value}."""
+def bench(tree: str, workload: str, seed: int, seconds: int, trace: int, usage=None) -> dict:
+    """The metrics of one perfbench run: {name: value}.
+
+    When ``usage`` is a list, the run's minor page faults and system CPU
+    seconds (its whole process tree, which perfbench waits for) are appended.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if usage is not None:
+        usage.append({"minflt": after.ru_minflt - before.ru_minflt,
+                      "sys_s": after.ru_stime - before.ru_stime})
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -146,13 +159,18 @@ def main() -> int:
                   "pairs": args.pairs, "perfbench_identical": same_bench, "workloads": {}}
         for workload in workloads:
             runs = {side: [] for side in SIDES}
+            usage = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                    runs[side].append(bench(trees[side], workload, args.seed, seconds, 0))
-                    print(f"{workload} pair {i} {side}: {runs[side][-1]}", file=sys.stderr, flush=True)
+                    runs[side].append(bench(trees[side], workload, args.seed, seconds, 0, usage[side]))
+                    print(f"{workload} pair {i} {side}: {runs[side][-1]} {usage[side][-1]}",
+                          file=sys.stderr, flush=True)
             report["workloads"][workload] = {
                 "end_to_end": {name: summarize({s: [r[name] for r in runs[s]] for s in SIDES}, better[name])
                                for name in better},
+                "rusage": {s: {"runs": usage[s],
+                               **{f"{k}_median": statistics.median(u[k] for u in usage[s]) for k in ("minflt", "sys_s")}}
+                           for s in SIDES},
                 "traced": {side: bench(trees[side], workload, args.seed, seconds, 1) for side in SIDES},
             }
     except (RuntimeError, subprocess.CalledProcessError) as exc:
