@@ -97,7 +97,8 @@ class _LogInterp:
 
     def linear(self, q: np.ndarray) -> np.ndarray:
         u = (q - self.x0) / self.dx
-        kf = np.clip(np.floor(u), -1.0, self.n - 1)
+        kf = np.floor(u)
+        np.clip(kf, -1.0, self.n - 1, out=kf)
         k = kf.astype(np.intp)
         s = u - kf
         val = self._base[k] + s * self._step[k]
@@ -106,19 +107,49 @@ class _LogInterp:
             val[node] = self._node[k[node]]
         return val
 
-    def quadratic(self, q: np.ndarray) -> np.ndarray:
-        """Three-point Lagrange interpolation; falls back to linear near zeros."""
-        u = (q - self.x0) / self.dx
-        k = np.clip(np.rint(u).astype(np.intp), 1, self.n - 2)
-        s = u - k
-        h = 0.5 * s
-        # D1 = D2 = 0 where the stencil is not finite: no inf - inf, and
-        # those elements take the linear value below
-        val = self.logv[k] + h * self._d1[k] + h * s * self._d2[k]
-        lin = ~self._valid[k] | (u < 0.0) | (u > self.n - 1)
+    def quadratic(self, q: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Three-point Lagrange interpolation; falls back to linear near zeros.
+
+        Every intermediate goes into ``work``, a tuple of three float arrays,
+        one intp array and two bool arrays shaped like q (``_quadratic_work``),
+        and the result into ``out``; both are allocated when not given.
+        """
+        u, kf, tmp, k, lin, bad = _quadratic_work(q.shape) if work is None else work
+        val = np.empty(q.shape) if out is None else out
+        np.subtract(q, self.x0, out=u)
+        u /= self.dx
+        # the node index, clipped as a float and only then cast
+        np.rint(u, out=kf)
+        np.clip(kf, 1.0, self.n - 2, out=kf)
+        np.copyto(k, kf, casting="unsafe")
+        np.less(u, 0.0, out=lin)
+        np.greater(u, self.n - 1, out=bad)
+        lin |= bad
+        self._valid.take(k, out=bad, mode="wrap")
+        np.logical_not(bad, out=bad)
+        lin |= bad
+        s = np.subtract(u, kf, out=u)
+        h = np.multiply(s, 0.5, out=kf)
+        # val = logv[k] + h*D1[k] + h*s*D2[k], one operation at a time; D1 =
+        # D2 = 0 where the stencil is not finite: no inf - inf, and those
+        # elements take the linear value below
+        self.logv.take(k, out=val, mode="wrap")
+        self._d1.take(k, out=tmp, mode="wrap")
+        tmp *= h
+        val += tmp
+        h *= s
+        self._d2.take(k, out=tmp, mode="wrap")
+        tmp *= h
+        val += tmp
         if lin.any():
             val[lin] = self.linear(q[lin])
         return val
+
+
+def _quadratic_work(shape) -> tuple:
+    """Fresh work arrays for ``_LogInterp.quadratic`` on queries of ``shape``."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -138,9 +169,35 @@ def _support_range(f: GridFunction):
     return f.x0 + lo * f.dx, f.x0 + hi * f.dx
 
 
-def _quadratic_objective(lf: _LogInterp, lg: _LogInterp, t: float):
+def _quadratic_objective(lf: _LogInterp, lg: _LogInterp, t: float, size: int):
+    """The stage-2 objective x -> t*log f(x) + (1-t)*log g((z - t*x)/(1-t))
+    under three-point quadratic interpolation, for queries x of up to
+    ``size`` elements (z broadcast against x).
+
+    Every intermediate lives in nine arrays of ``size`` elements allocated
+    here, once per sup_convolution call, and each call takes views of them
+    shaped like x; so does the value it returns, which the next call
+    overwrites.  The operations are those of the direct formula, in the same
+    order, so the values are bit for bit the same.
+    """
+    reals = np.empty((6, size))
+    index = np.empty(size, dtype=np.intp)
+    masks = np.empty((2, size), dtype=bool)
+
     def obj(z, x):
-        return t * lf.quadratic(x) + (1.0 - t) * lg.quadratic((z - t * x) / (1.0 - t))
+        m = x.size
+        fx, gy, y, u, kf, tmp = (b[:m].reshape(x.shape) for b in reals)
+        lin, bad = (b[:m].reshape(x.shape) for b in masks)
+        work = (u, kf, tmp, index[:m].reshape(x.shape), lin, bad)
+        lf.quadratic(x, out=fx, work=work)
+        np.multiply(x, t, out=y)
+        np.subtract(z, y, out=y)
+        y /= 1.0 - t
+        lg.quadratic(y, out=gy, work=work)
+        fx *= t
+        gy *= 1.0 - t
+        fx += gy
+        return fx
 
     return obj
 
@@ -196,18 +253,28 @@ def _merge_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
 
 
 def _ternary_max(obj, z, lo, hi, iters):
-    """Vectorized ternary search of a concave objective on [lo, hi] per cell."""
+    """Vectorized ternary search of a concave objective on [lo, hi] per cell.
+
+    Both probes of a step go to one call of the objective, stacked as
+    [m1; m2] of shape (2,) + lo.shape with z broadcast against them, so the
+    objective must be elementwise; then every value is the one two separate
+    calls would give.  The bracket and the probes are updated in place.
+    """
     lo = lo.copy()
     hi = hi.copy()
+    probes = np.empty((2,) + lo.shape)
+    m1, m2 = probes
+    move = np.empty(lo.shape, dtype=bool)
     for _ in range(iters):
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        v1 = obj(z, m1)
-        v2 = obj(z, m2)
-        move_lo = v1 < v2
-        lo = np.where(move_lo, m1, lo)
-        hi = np.where(move_lo, hi, m2)
+        np.subtract(hi, lo, out=m1)
+        m1 /= 3.0
+        np.subtract(hi, m1, out=m2)
+        m1 += lo
+        v1, v2 = obj(z, probes)
+        np.less(v1, v2, out=move)
+        np.copyto(lo, m1, where=move)
+        np.logical_not(move, out=move)
+        np.copyto(hi, m2, where=move)
     xs = 0.5 * (lo + hi)
     return xs, obj(z, xs)
 
@@ -330,7 +397,7 @@ def sup_convolution(
 
     # local quadratic refinement around the stage-1 point
     w = max(f.dx, g.dx * (1.0 - t) / t)
-    q_obj = _quadratic_objective(lf, lg, t)
+    q_obj = _quadratic_objective(lf, lg, t, 2 * n)
     r_lo = np.maximum(x_lo, xs1 - w)
     r_hi = np.minimum(x_hi, xs1 + w)
     xs2, v2 = _ternary_max(q_obj, z, r_lo, r_hi, iters=45)

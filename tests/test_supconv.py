@@ -23,6 +23,7 @@ from plstab import (
 from plstab.densities import exponential, gaussian
 from plstab.stability import (
     CounterexampleConfig,
+    _odd_bump_peak,
     counterexample_family,
     random_log_concave,
     random_log_concave_pair,
@@ -32,6 +33,7 @@ from plstab.supconv import (
     _block_scan_max,
     _log_values,
     _merge_max,
+    _quadratic_objective,
     _support_nodes,
     _ternary_max,
 )
@@ -170,7 +172,9 @@ class ReferenceLogInterp:
         val = np.where((s == 1.0) & np.isfinite(y1), y1s, val)
         return np.where(inside, val, -np.inf)
 
-    def quadratic(self, q):
+    def quadratic(self, q, out=None, work=None):
+        """``work`` is ignored (every intermediate is a fresh array); the
+        result is copied into ``out`` when one is given."""
         u = (q - self.x0) / self.dx
         inside = (u >= 0.0) & (u <= self.n - 1)
         k = np.clip(np.rint(u).astype(int), 1, self.n - 2)
@@ -184,7 +188,11 @@ class ReferenceLogInterp:
         yps = np.where(np.isfinite(yp), yp, 0.0)
         quad = y0s + 0.5 * s * (yps - yms) + 0.5 * s * s * (yps - 2.0 * y0s + yms)
         lin = self.linear(q)
-        return np.where(inside & ok, quad, lin)
+        val = np.where(inside & ok, quad, lin)
+        if out is None:
+            return val
+        out[...] = val
+        return out
 
 
 def assert_bits_equal(a, b):
@@ -198,7 +206,8 @@ def interp_cases(draw):
     """(f, q): log-values spread over many decades with zero cells inside the
     support (or a constant density); queries at random points, at every node
     (u = n - 1 included), half-way between nodes, within round-off of both
-    ends and up to three cells outside the grid; a 2-D query half the time."""
+    ends (below node 0 by less than u - 1 can resolve when x0 = 0) and up to
+    three cells outside the grid; a 2-D query half the time."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(3, 80))
     vals = np.exp(rng.normal(0.0, 3.0, n))
@@ -207,7 +216,8 @@ def interp_cases(draw):
         vals[: int(rng.integers(1, n // 2))] = 0.0
     if not np.any(vals > 0) or draw(st.integers(0, 9)) == 0:
         vals = np.ones(n)
-    f = GridFunction(float(rng.normal(0.0, 5.0)), float(rng.uniform(0.01, 2.0)), vals)
+    x0 = draw(st.sampled_from([0.0, float(rng.normal(0.0, 5.0))]))
+    f = GridFunction(x0, float(rng.uniform(0.01, 2.0)), vals)
     nodes = np.arange(-3, n + 3, dtype=float)
     u = np.concatenate([rng.uniform(-3.0, n + 2.0, 100), nodes, nodes + 0.5,
                         [-1e-17, -1.0, 1e-17, n - 1 - 1e-13, n - 1 + 1e-13]])
@@ -555,6 +565,97 @@ def test_one_node_support_is_a_shifted_power(t):
         assert np.all(inner > 0.0)
         # linear interpolation of g against the log-quadratic refinement
         assert np.max(np.abs(inner - expected)) <= 1e-4 * np.max(expected)
+
+
+# ---------------------------------------------------------------------------
+# stage 2: stacked probes over a per-call workspace
+
+
+def two_call_ternary_max(obj, z, lo, hi, iters):
+    """Reference for _ternary_max: one objective call per probe, every
+    intermediate a fresh array, as the search ran before its probes were
+    stacked."""
+    lo = lo.copy()
+    hi = hi.copy()
+    for _ in range(iters):
+        third = (hi - lo) / 3.0
+        m1 = lo + third
+        m2 = hi - third
+        v1 = obj(z, m1)
+        v2 = obj(z, m2)
+        move_lo = v1 < v2
+        lo = np.where(move_lo, m1, lo)
+        hi = np.where(move_lo, hi, m2)
+    xs = 0.5 * (lo + hi)
+    return xs, obj(z, xs)
+
+
+def stage2_density(rng, kind, x0, dx, n):
+    xs = x0 + dx * np.arange(n)
+    if kind == "kinked" and n >= 3:
+        return random_log_concave(rng, x0, xs[-1], n)
+    u = np.linspace(-1.0, 1.0, n)
+    vals = np.exp(-rng.uniform(0.5, 20.0) * (u - rng.uniform(-0.5, 0.5)) ** 2)
+    if kind == "zeros":
+        vals[rng.random(n) < 0.2] = 0.0
+        if not np.any(vals > 0):
+            vals[n // 2] = 1.0
+    return GridFunction(x0, dx, vals)
+
+
+@st.composite
+def stage2_cases(draw):
+    """(f, g, t, z, lo, hi): smooth, kinked and zero-cell densities (the
+    zeros send queries to the linear fallback) on 2 to ~5000 nodes whose
+    supports reach both grid ends, dx of f and g equal or not; z spans the
+    output range like sup_convolution's grid; the bracket is each cell's
+    feasible window, that window cut to a random cell around a random point,
+    or the window widened by a cell past both ends of the grids."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = ["smooth", "kinked", "zeros"]
+    sizes = st.one_of(st.integers(2, 8), st.integers(9, 5000))
+    dx = float(rng.uniform(0.002, 0.2))
+    ratio = draw(st.sampled_from([1.0, 0.5, float(rng.uniform(0.3, 3.0))]))
+    f = stage2_density(rng, draw(st.sampled_from(kinds)), float(rng.normal(0.0, 3.0)), dx,
+                       draw(sizes))
+    g = stage2_density(rng, draw(st.sampled_from(kinds)), draw(st.sampled_from([0.0, 1.5])),
+                       dx * ratio, draw(sizes))
+    t = draw(st.sampled_from([1e-3, 0.3, 0.5, 0.97]))
+    af, bf = f.x0, f.x0 + (f.n - 1) * f.dx
+    ag, bg = g.x0, g.x0 + (g.n - 1) * g.dx
+    z = np.linspace(t * af + (1.0 - t) * ag, t * bf + (1.0 - t) * bg, draw(st.integers(2, 400)))
+    lo = np.maximum(af, (z - (1.0 - t) * bg) / t)
+    hi = np.minimum(bf, (z - (1.0 - t) * ag) / t)
+    bracket = draw(st.sampled_from(["window", "cell", "widened"]))
+    if bracket == "cell":
+        w = max(f.dx, g.dx * (1.0 - t) / t)
+        mid = lo + rng.random(z.size) * (hi - lo)
+        lo, hi = np.maximum(lo, mid - w), np.minimum(hi, mid + w)
+    elif bracket == "widened":
+        lo, hi = lo - f.dx, hi + f.dx
+    return f, g, t, z, lo, hi
+
+
+@given(stage2_cases())
+@settings(max_examples=120, deadline=None)
+def test_stage2_stacked_probes_match_two_call_loop(case):
+    f, g, t, z, lo, hi = case
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    # the reference interpolates with ReferenceLogInterp where it applies (it
+    # reads logv[-1] on two nodes, where _LogInterp's allocating path stands in)
+    rf, rg = (ReferenceLogInterp(d) if d.n >= 3 else _LogInterp(d) for d in (f, g))
+
+    def two_call_objective(zz, x):
+        return t * rf.quadratic(x) + (1.0 - t) * rg.quadratic((zz - t * x) / (1.0 - t))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, v = _ternary_max(_quadratic_objective(lf, lg, t, 2 * z.size), z, lo, hi, 45)
+        x_ref, v_ref = two_call_ternary_max(two_call_objective, z, lo, hi, 45)
+    assert_bits_equal(x, x_ref)
+    assert_bits_equal(v, v_ref)
+    # the same search on a one-element bracket, as the counterexample bump uses it
+    assert _odd_bump_peak().hex() == "0x1.e77636ba60638p-3"
 
 
 def swap_gap(f, g, t):
