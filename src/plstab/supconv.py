@@ -380,10 +380,13 @@ def sup_convolution(
     lf = _LogInterp(f)
     lg = _LogInterp(g)
 
-    # feasible x window per output cell: x in supp f and (z - t x)/(1-t) in supp g
+    # feasible x window per output cell: x in supp f and (z - t x)/(1-t) in supp g;
+    # a window is empty only beyond the rounding of its ends (4 ulps), so the
+    # cells at the ends of h keep the value a one-node support gives them
     x_lo = np.maximum(af, (z - (1.0 - t) * bg) / t)
     x_hi = np.minimum(bf, (z - (1.0 - t) * ag) / t)
-    empty = x_lo > x_hi
+    reach = np.abs(z) + max(abs(af), abs(bf), abs(ag), abs(bg))
+    empty = x_lo > x_hi + 4.0 * np.finfo(float).eps * reach / t
 
     from .logconcave import is_log_concave
 
