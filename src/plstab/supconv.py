@@ -66,8 +66,8 @@ class _LogInterp:
     query exactly on a node (s == 0) takes the node value, even when a
     neighbour is zero.  Per node k the quadratic tables hold
     D1 = y_{k+1} - y_{k-1} and D2 = y_{k+1} - 2*y_k + y_{k-1} and whether
-    all three values are finite (never at the end nodes, so grids of fewer
-    than three cells always fall back to linear).  Every output element goes
+    one of the three values is not finite (always at the end nodes, so grids
+    of fewer than three cells always fall back to linear).  Every output element goes
     through the IEEE operations of the direct formulas in the same order,
     with the differences computed once, so the results are bit for bit those
     of evaluating the formulas per query.
@@ -87,9 +87,9 @@ class _LogInterp:
         self._step = np.zeros(n + 1)
         self._step[: n - 1][both] = y1[both] - y0[both]
         ym, yc, yp = self.logv[:-2], self.logv[1:-1], self.logv[2:]
-        self._valid = np.zeros(n, dtype=bool)
-        self._valid[1:-1] = np.isfinite(ym) & np.isfinite(yc) & np.isfinite(yp)
-        ok = self._valid[1:-1]
+        ok = np.isfinite(ym) & np.isfinite(yc) & np.isfinite(yp)
+        self._no_stencil = np.ones(n, dtype=bool)
+        self._no_stencil[1:-1] = ~ok
         self._d1 = np.zeros(n)
         self._d1[1:-1][ok] = yp[ok] - ym[ok]
         self._d2 = np.zeros(n)
@@ -98,7 +98,8 @@ class _LogInterp:
     def linear(self, q: np.ndarray) -> np.ndarray:
         u = (q - self.x0) / self.dx
         kf = np.floor(u)
-        np.clip(kf, -1.0, self.n - 1, out=kf)
+        np.maximum(kf, -1.0, out=kf)
+        np.minimum(kf, self.n - 1, out=kf)
         k = kf.astype(np.intp)
         s = u - kf
         val = self._base[k] + s * self._step[k]
@@ -118,15 +119,15 @@ class _LogInterp:
         val = np.empty(q.shape) if out is None else out
         np.subtract(q, self.x0, out=u)
         u /= self.dx
-        # the node index, clipped as a float and only then cast
+        # the node index, clipped to [1, n-2] as a float and only then cast
         np.rint(u, out=kf)
-        np.clip(kf, 1.0, self.n - 2, out=kf)
+        np.maximum(kf, 1.0, out=kf)
+        np.minimum(kf, self.n - 2, out=kf)
         np.copyto(k, kf, casting="unsafe")
         np.less(u, 0.0, out=lin)
         np.greater(u, self.n - 1, out=bad)
         lin |= bad
-        self._valid.take(k, out=bad, mode="wrap")
-        np.logical_not(bad, out=bad)
+        self._no_stencil.take(k, out=bad, mode="wrap")
         lin |= bad
         s = np.subtract(u, kf, out=u)
         h = np.multiply(s, 0.5, out=kf)
