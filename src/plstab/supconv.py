@@ -12,7 +12,11 @@ stage-1 value is attained.  Stage 2 refines around the stage-1 point with a
 vectorized bracketed ternary search that re-evaluates the objective with
 three-point quadratic interpolation of the log values.  The refinement
 removes the O(dx^2) flattening bias of piecewise linear interpolation, which
-matters when deficits of order 1e-6 are measured.  Both interpolants read
+matters when deficits of order 1e-6 are measured.  Each of its 45 steps
+evaluates both probes in one pass, stacked as [m1; m2], and every
+intermediate of that pass goes into a workspace allocated once per
+sup_convolution call; the operations per element are those of one
+evaluation per probe, so the bits are the same.  Both interpolants read
 tables built once per density (per cell a base value and a step, per node the
 first and second differences and whether the three-point stencil is finite),
 so each vectorized objective evaluation is a few gathers and fused
@@ -259,7 +263,8 @@ def _ternary_max(obj, z, lo, hi, iters):
     Both probes of a step go to one call of the objective, stacked as
     [m1; m2] of shape (2,) + lo.shape with z broadcast against them, so the
     objective must be elementwise; then every value is the one two separate
-    calls would give.  The bracket and the probes are updated in place.
+    calls would give.  The search narrows its own copy of the bracket in
+    place.
     """
     lo = lo.copy()
     hi = hi.copy()
