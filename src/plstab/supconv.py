@@ -100,13 +100,17 @@ class _LogInterp:
         self._d2[1:-1][ok] = yp[ok] - 2.0 * yc[ok] + ym[ok]
 
     def linear(self, q: np.ndarray) -> np.ndarray:
-        u = (q - self.x0) / self.dx
+        u = np.subtract(q, self.x0)
+        u /= self.dx
         kf = np.floor(u)
         np.maximum(kf, -1.0, out=kf)
         np.minimum(kf, self.n - 1, out=kf)
         k = kf.astype(np.intp)
-        s = u - kf
-        val = self._base[k] + s * self._step[k]
+        s = np.subtract(u, kf, out=u)
+        # val = base[k] + s*step[k], in place
+        val = self._step.take(k, mode="wrap")
+        val *= s
+        val += self._base.take(k, mode="wrap")
         node = s == 0.0
         if node.any():
             val[node] = self._node[k[node]]
