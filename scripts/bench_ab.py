@@ -116,6 +116,13 @@ def summarize(runs: dict, better: str) -> dict:
     return out
 
 
+def usage_summary(runs: list) -> dict:
+    """Each run's minor faults and system CPU seconds, with their medians."""
+    return {"runs": runs,
+            "minflt_median": statistics.median(r["minflt"] for r in runs),
+            "sys_s_median": statistics.median(r["sys_s"] for r in runs)}
+
+
 def machine() -> dict:
     import numpy
 
@@ -168,9 +175,7 @@ def main() -> int:
             report["workloads"][workload] = {
                 "end_to_end": {name: summarize({s: [r[name] for r in runs[s]] for s in SIDES}, better[name])
                                for name in better},
-                "rusage": {s: {"runs": usage[s],
-                               **{f"{k}_median": statistics.median(u[k] for u in usage[s]) for k in ("minflt", "sys_s")}}
-                           for s in SIDES},
+                "rusage": {side: usage_summary(usage[side]) for side in SIDES},
                 "traced": {side: bench(trees[side], workload, args.seed, seconds, 1) for side in SIDES},
             }
     except (RuntimeError, subprocess.CalledProcessError) as exc:

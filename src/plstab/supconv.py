@@ -71,10 +71,10 @@ class _LogInterp:
     neighbour is zero.  Per node k the quadratic tables hold
     D1 = y_{k+1} - y_{k-1} and D2 = y_{k+1} - 2*y_k + y_{k-1} and whether
     one of the three values is not finite (always at the end nodes, so grids
-    of fewer than three cells always fall back to linear).  Every output element goes
-    through the IEEE operations of the direct formulas in the same order,
-    with the differences computed once, so the results are bit for bit those
-    of evaluating the formulas per query.
+    of fewer than three cells always fall back to linear).  Every output
+    element goes through the IEEE operations of the direct formulas in the
+    same order, with the differences computed once, so the results are bit
+    for bit those of evaluating the formulas per query.
     """
 
     def __init__(self, f: GridFunction):
@@ -157,8 +157,8 @@ class _LogInterp:
 
 def _quadratic_work(shape) -> tuple:
     """Fresh work arrays for ``_LogInterp.quadratic`` on queries of ``shape``."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    return (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp),
+            np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
 
 @dataclass(frozen=True)
