@@ -18,7 +18,9 @@ the ratio of the medians (change / parent), and the pairs each side won
 (ties count for neither), plus each side's traced per-layer metrics.  Per
 ``--trace 0`` run it also records the minor page faults and the system CPU
 seconds of the whole perfbench process tree (``getrusage(RUSAGE_CHILDREN)``
-deltas around the subprocess), under ``rusage`` with per-side medians.
+deltas around the subprocess) and the operations it attempted, under
+``rusage`` with per-side medians of the totals and of the totals per
+operation (a run lasts a fixed time, so a faster side runs more rounds).
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
       [--workloads sweep_1d,pairs_csv] [--seed 1]
@@ -81,21 +83,25 @@ def bench(tree: str, workload: str, seed: int, seconds: int, trace: int, usage=N
     """The metrics of one perfbench run: {name: value}.
 
     When ``usage`` is a list, the run's minor page faults and system CPU
-    seconds (its whole process tree, which perfbench waits for) are appended.
+    seconds (its whole process tree, which perfbench waits for) and the
+    operations it attempted are appended.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
-    if usage is not None:
-        usage.append({"minflt": after.ru_minflt - before.ru_minflt,
-                      "sys_s": after.ru_stime - before.ru_stime})
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed its correctness gate:\n{proc.stderr}")
+    if usage is not None:
+        # a run repeats rounds for a fixed time, so the faster side attempts
+        # more operations and its totals grow with them
+        usage.append({"minflt": after.ru_minflt - before.ru_minflt,
+                      "sys_s": after.ru_stime - before.ru_stime,
+                      "ops": result["attempted"]})
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -117,10 +123,13 @@ def summarize(runs: dict, better: str) -> dict:
 
 
 def usage_summary(runs: list) -> dict:
-    """Each run's minor faults and system CPU seconds, with their medians."""
-    return {"runs": runs,
-            "minflt_median": statistics.median(r["minflt"] for r in runs),
-            "sys_s_median": statistics.median(r["sys_s"] for r in runs)}
+    """Each run's minor faults, system CPU seconds and operations, with the
+    medians of the first two and of both per operation."""
+    out = {"runs": runs}
+    for key in ("minflt", "sys_s"):
+        out[f"{key}_median"] = statistics.median(r[key] for r in runs)
+        out[f"{key}_per_op_median"] = statistics.median(r[key] / r["ops"] for r in runs)
+    return out
 
 
 def machine() -> dict:
