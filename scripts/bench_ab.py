@@ -16,11 +16,16 @@ The JSON written to ``--out`` holds the machine facts, both revisions, and
 per workload and end-to-end metric: each side's runs, median and quartiles,
 the ratio of the medians (change / parent), and the pairs each side won
 (ties count for neither), plus each side's traced per-layer metrics.  Per
-``--trace 0`` run it also records the minor page faults and the system CPU
-seconds of the whole perfbench process tree (``getrusage(RUSAGE_CHILDREN)``
-deltas around the subprocess) and the operations it attempted, under
-``rusage`` with per-side medians of the totals and of the totals per
-operation (a run lasts a fixed time, so a faster side runs more rounds).
+``--trace 0`` run it also records the minor page faults and the user and
+system CPU seconds of the whole perfbench process tree
+(``getrusage(RUSAGE_CHILDREN)`` deltas around the subprocess), the host's
+steal time over the run (the delta of the ``steal`` column of the ``cpu``
+line of /proc/stat, in clock ticks; null where it cannot be read) and the
+operations it attempted, under ``rusage`` with per-side medians of the
+totals and of the totals per operation (a run lasts a fixed time, so a
+faster side runs more rounds).  User CPU per operation that stays flat
+while wall_s jumps points at CPU sharing; one that jumps with wall_s points
+inside the process.
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
       [--workloads sweep_1d,pairs_csv] [--seed 1]
@@ -79,18 +84,30 @@ def tree_digest(path: str) -> str:
     return digest.hexdigest()
 
 
+def steal_ticks():
+    """The host's cumulative steal time in clock ticks (/proc/stat, read
+    only), or None where it cannot be read."""
+    try:
+        with open("/proc/stat") as handle:
+            fields = handle.readline().split()
+        return int(fields[8]) if fields[0] == "cpu" else None
+    except (OSError, IndexError, ValueError):
+        return None
+
+
 def bench(tree: str, workload: str, seed: int, seconds: int, trace: int, usage=None) -> dict:
     """The metrics of one perfbench run: {name: value}.
 
-    When ``usage`` is a list, the run's minor page faults and system CPU
-    seconds (its whole process tree, which perfbench waits for) and the
-    operations it attempted are appended.
+    When ``usage`` is a list, the run's minor page faults and user and
+    system CPU seconds (its whole process tree, which perfbench waits for),
+    the host's steal ticks over the run and the operations it attempted are
+    appended.
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    before, steal_before = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    after, steal_after = resource.getrusage(resource.RUSAGE_CHILDREN), steal_ticks()
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -100,7 +117,9 @@ def bench(tree: str, workload: str, seed: int, seconds: int, trace: int, usage=N
         # a run repeats rounds for a fixed time, so the faster side attempts
         # more operations and its totals grow with them
         usage.append({"minflt": after.ru_minflt - before.ru_minflt,
+                      "user_s": after.ru_utime - before.ru_utime,
                       "sys_s": after.ru_stime - before.ru_stime,
+                      "steal": None if None in (steal_before, steal_after) else steal_after - steal_before,
                       "ops": result["attempted"]})
     return {name: m["value"] for name, m in result["metrics"].items()}
 
@@ -123,12 +142,15 @@ def summarize(runs: dict, better: str) -> dict:
 
 
 def usage_summary(runs: list) -> dict:
-    """Each run's minor faults, system CPU seconds and operations, with the
-    medians of the first two and of both per operation."""
+    """Each run's minor faults, user and system CPU seconds, steal ticks and
+    operations, with the medians of the first four and of each per
+    operation.  Runs whose steal could not be read are left out of its
+    medians, which are null when no run has it."""
     out = {"runs": runs}
-    for key in ("minflt", "sys_s"):
-        out[f"{key}_median"] = statistics.median(r[key] for r in runs)
-        out[f"{key}_per_op_median"] = statistics.median(r[key] / r["ops"] for r in runs)
+    for key in ("minflt", "user_s", "sys_s", "steal"):
+        known = [r for r in runs if r[key] is not None]
+        out[f"{key}_median"] = statistics.median(r[key] for r in known) if known else None
+        out[f"{key}_per_op_median"] = statistics.median(r[key] / r["ops"] for r in known) if known else None
     return out
 
 

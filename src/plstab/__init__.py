@@ -7,13 +7,11 @@ from .grids import (
     DomainError,
     GridFunction,
     PreconditionError,
-    SupportWindow,
     l1_distance,
     mass,
     normalize,
     scale_amplitude,
     sup_norm,
-    tail_mass,
     translate,
 )
 from .transport import (
@@ -42,7 +40,6 @@ from .levelsets import (
     bm_two_term_gap,
     check_rearranged_pl,
     distribution_function,
-    distribution_gap,
     hypograph_area,
     numerical_lemma_gap,
     symmetric_rearrangement,

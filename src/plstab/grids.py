@@ -79,21 +79,6 @@ class GridFunction:
         return GridFunction(self.x0, self.dx, values)
 
 
-@dataclass(frozen=True)
-class SupportWindow:
-    """Index window [lo_index, hi_index]; cells outside hold values <= threshold."""
-
-    lo_index: int
-    hi_index: int
-    threshold: float = 0.0
-
-    def __post_init__(self):
-        if self.lo_index > self.hi_index:
-            raise DomainError("lo_index must be <= hi_index")
-        if self.threshold < 0:
-            raise DomainError("threshold must be >= 0")
-
-
 def mass(f: GridFunction) -> float:
     """Rectangle-rule integral dx * sum(values).
 
@@ -238,16 +223,6 @@ def _l1_equal_spacing(f: GridFunction, g: GridFunction) -> float:
     if c - k < w.n - 1:  # w runs past u's last node: the rest of w-cell c-k, then whole cells
         outside += 0.5 * theta * (w_node[-1] + wv[c - k + 1]) + _trapezoid(wv[c - k + 1 :])
     return float(u.dx * (theta * left + (1.0 - theta) * right + outside))
-
-
-def tail_mass(f: GridFunction, window: SupportWindow) -> float:
-    """Mass of f outside the window's index range."""
-    lo = max(window.lo_index, 0)
-    hi = min(window.hi_index, f.n - 1)
-    if lo > f.n - 1 or hi < 0:
-        return mass(f)
-    inside = float(f.dx * np.sum(f.values[lo : hi + 1]))
-    return mass(f) - inside
 
 
 def boundary_mass(f: GridFunction, edge_cells: int = 2) -> float:

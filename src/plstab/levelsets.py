@@ -152,29 +152,6 @@ def numerical_lemma_gap(x: float, y: float, z: float, lam: float):
     return lhs, rhs
 
 
-def distribution_gap(u: GridFunction, v: GridFunction, t_max: float) -> float:
-    """Integral over (0, t_max] of |H1({u >= t}) - H1({v >= t})| dt.
-
-    Exact for piecewise-constant data: the merged sorted set of cell values
-    partitions (0, t_max] into intervals on which both counts are constant.
-    """
-    if t_max <= 0:
-        raise DomainError("t_max must be positive")
-    pts = np.unique(np.concatenate([[0.0], u.values, v.values, [t_max]]))
-    pts = pts[pts <= t_max]
-    if pts[-1] < t_max:
-        pts = np.append(pts, t_max)
-    su = np.sort(u.values)
-    sv = np.sort(v.values)
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        t = 0.5 * (a + b)
-        cu = su.size - np.searchsorted(su, t, side="left")
-        cv = sv.size - np.searchsorted(sv, t, side="left")
-        total += abs(u.dx * cu - v.dx * cv) * (b - a)
-    return float(total)
-
-
 @dataclass(frozen=True)
 class PiecewiseLinear:
     """Piecewise-linear function given by increasing knots and values."""

@@ -38,6 +38,7 @@ from .levelsets import PiecewiseLinear
 from .logconcave import is_log_concave, log_concave_hull
 from .radial import (
     RadialProfile,
+    cell_weights,
     radial_l1_distance,
     radial_mass,
     radial_pl_deficit,
@@ -131,23 +132,21 @@ def random_piecewise_linear(seed, span: float = 4.0, segments: int = 6) -> Piece
 # aligned distances
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 60):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+def _median_amplitude(u: np.ndarray, w: np.ndarray, lo: float, hi: float, cell=None) -> float:
+    """The amplitude a in [lo, hi] that minimises sum c_i * |u_i - a*w_i|, with
+    per-cell weights c (all 1 when ``cell`` is None).
+
+    The sum is convex and piecewise linear in a, least at the weighted median
+    of u_i/w_i with weights c_i*w_i: least absolute deviations through the
+    origin (Bloomfield and Steiger 1983).  Cells with w_i = 0 add a constant.
+    """
+    pos = w > 0
+    ratios = u[pos] / w[pos]
+    weights = w[pos] if cell is None else cell[pos] * w[pos]
+    order = np.argsort(ratios, kind="stable")
+    weight = np.cumsum(weights[order])
+    median = float(ratios[order][np.searchsorted(weight, 0.5 * weight[-1])])
+    return min(max(median, lo), hi)
 
 
 def _linear_pieces(u: GridFunction, w: GridFunction) -> list:
@@ -190,7 +189,7 @@ def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> f
 
     That distance F(a) is convex in a.  On identical grids it is
     dx * sum|u_i - a*w_i|, least at the weighted median of u_i/w_i with
-    weights w_i.  On any other pair F' is a sum over the segments on which u
+    weights w_i (``_median_amplitude``).  On any other pair F' is a sum over the segments on which u
     and w are both linear (``_linear_pieces``): the segment's length times the
     mean of w*sign(a*w - u), exact once the segment is split at its one
     crossing.  Its sign change is found by false position down to adjacent
@@ -200,12 +199,7 @@ def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> f
     evaluate F.
     """
     if u.x0 == w.x0 and u.dx == w.dx and u.n == w.n:
-        pos = w.values > 0
-        ratios = u.values[pos] / w.values[pos]
-        order = np.argsort(ratios, kind="stable")
-        weight = np.cumsum(w.values[pos][order])
-        median = float(ratios[order][np.searchsorted(weight, 0.5 * weight[-1])])
-        return min(max(median, lo), hi)
+        return _median_amplitude(u.values, w.values, lo, hi)
     pieces = _linear_pieces(u, w)
     fixed = 0.0
 
@@ -565,7 +559,11 @@ class RadialCounterexampleResult:
 def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> RadialCounterexampleResult:
     """Radial analogue: an even C^2 bump supported in [1/2, 2], made
     mass-neutral against the r^(n-1) weight by subtracting a projection onto a
-    second bump; the distance is minimized over amplitude scalings of f."""
+    second bump.  The distance is minimised over amplitudes a in [1/2, 2] of
+    f: on the shared grid it is sum c_i * |g_i - a*f_i| with the radial cell
+    weights c, least at the weighted median of g_i/f_i (``_median_amplitude``).
+    A grid r <= 5 whose outer two cells carry more than 1e-8 of f's weighted
+    mass (dimensions from about 70 up) is a PreconditionError."""
     if n_dim < 2:
         raise DomainError("radial family needs ambient dimension >= 2")
     if cfg.phi_id != "even_radial":
@@ -576,6 +574,14 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     r = dr * (0.5 + np.arange(n))
     fvals = np.exp(-math.pi * r ** 2)
     f = RadialProfile(n_dim, float(r[0]), dr, fvals)  # rejects unsupported dimensions
+    cell = cell_weights(f)
+    cell_mass = cell * fvals
+    edge = float(np.sum(cell_mass[-2:]) / np.sum(cell_mass))
+    if edge > 1e-8:
+        raise PreconditionError(
+            f"the grid r <= {r_hi} truncates f: its outer two cells carry {edge:.2e} of its "
+            f"weighted mass (above 1e-8) at dimension {n_dim}"
+        )
     weight = r ** (n_dim - 1)
     psi1 = _radial_bump(r, 0.5, 1.4)
     psi2 = _radial_bump(r, 1.1, 2.0)
@@ -592,12 +598,9 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
         raise PreconditionError(f"perturbed radial profile is not log-concave decreasing (cell {idx})")
     h = radial_sup_convolution(f, g, cfg.t)
     epsilon = radial_pl_deficit(h, f, g, cfg.t)
-
-    def dist(a: float) -> float:
-        return radial_l1_distance(g, RadialProfile(f.n, f.r0, f.dr, a * f.values))
-
-    a_best, d_best = _golden_min(dist, 0.5, 2.0)
-    return RadialCounterexampleResult(f=f, g=g, h=h, epsilon=epsilon, distance=d_best)
+    a = _median_amplitude(g.values, f.values, 0.5, 2.0, cell)
+    distance = radial_l1_distance(g, RadialProfile(f.n, f.r0, f.dr, a * f.values))
+    return RadialCounterexampleResult(f=f, g=g, h=h, epsilon=epsilon, distance=distance)
 
 
 # ---------------------------------------------------------------------------

@@ -301,10 +301,19 @@ def test_unsupported_dimension_is_precondition_error(capsys, dimension):
 
 
 def test_degenerate_fit_is_precondition_error(capsys):
-    # at d = 100 the radial family carries no signal: every epsilon is the same round-off
-    args = ["radial", "--sweep", "delta=0.01:0.1:4", "--dimension", "100", "--n", "2048"]
+    # at d = 70 the grid still holds f's mass, but the radial family carries no
+    # signal: every epsilon is the same round-off
+    args = ["radial", "--sweep", "delta=0.01:0.1:4", "--dimension", "70", "--n", "2048"]
     assert main(args) == 3
     assert "no spread" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", ["200", "343"])
+def test_radial_grid_truncating_mass_is_precondition_error(capsys, dim):
+    # the weighted mass of exp(-pi r^2) peaks at sqrt((d-1)/(2 pi)), near the grid's r = 5
+    assert main(["radial", "--delta", "0.05", "--n", "1024", "--dimension", dim]) == 3
+    err = capsys.readouterr().err
+    assert "outer two cells" in err and f"dimension {dim}" in err
 
 
 GAUSS = {"kind": "gaussian", "mu": 0.0, "sigma": 1.0}

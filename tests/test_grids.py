@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +6,14 @@ from hypothesis import strategies as st
 from plstab import (
     DomainError,
     GridFunction,
-    SupportWindow,
     l1_distance,
     mass,
     normalize,
     scale_amplitude,
     sup_norm,
-    tail_mass,
     translate,
 )
-from plstab.densities import exponential, gaussian, uniform
+from plstab.densities import gaussian, uniform
 from plstab.grids import _l1_merged, from_csv, to_csv
 
 from conftest import normal_cdf
@@ -98,25 +94,6 @@ def test_l1_mixed_grids():
     f = gaussian(0.0, 1.0, -8, 8, 4096)
     g = gaussian(0.0, 1.0, -7.5, 8.5, 3000)
     assert l1_distance(f, g) == pytest.approx(0.0, abs=2e-3)
-
-
-def test_tail_mass():
-    f = exponential(1.0, -1.0, 30.0, 8192)
-    full = SupportWindow(0, f.n - 1)
-    assert tail_mass(f, full) == 0.0
-    empty = SupportWindow(2 * f.n, 2 * f.n + 1)
-    assert tail_mass(f, empty) == pytest.approx(mass(f), rel=1e-12)
-    # oracle: exponential tail beyond 3 is e^-3
-    k = int(np.searchsorted(f.centers, 3.0))
-    win = SupportWindow(0, k - 1)
-    assert tail_mass(f, win) == pytest.approx(math.exp(-3.0), abs=1e-4)
-
-
-def test_support_window_validation():
-    with pytest.raises(DomainError):
-        SupportWindow(5, 2)
-    with pytest.raises(DomainError):
-        SupportWindow(0, 1, threshold=-1.0)
 
 
 grid_values = st.lists(st.floats(0.0, 10.0), min_size=4, max_size=48)

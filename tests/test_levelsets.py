@@ -13,7 +13,6 @@ from plstab import (
     bm_two_term_gap,
     check_rearranged_pl,
     distribution_function,
-    distribution_gap,
     hypograph_area,
     l1_distance,
     mass,
@@ -228,29 +227,6 @@ def test_numerical_lemma_validation():
         numerical_lemma_gap(-1.0, 1.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         numerical_lemma_gap(0.1, 4.0, 4.0, 0.5)  # x below the square term
-
-
-# ---------------------------------------------------------------------------
-# distribution gap
-
-
-def test_distribution_gap_identity(gauss_pi):
-    assert distribution_gap(gauss_pi, gauss_pi, 2.0) == 0.0
-
-
-def test_distribution_gap_indicators():
-    u = aligned_indicator(0, 1, 1.0, -1, 3, 4096)
-    v = aligned_indicator(0, 2, 1.0, -1, 3, 4096)
-    assert distribution_gap(u, v, 2.0) == pytest.approx(1.0, abs=2 * u.dx)
-
-
-def test_distribution_gap_is_rearranged_l1():
-    for seed in range(4):
-        f, g = random_log_concave_pair(seed, n=512)
-        t_max = max(sup_norm(f), sup_norm(g)) * 1.01
-        gap = distribution_gap(f, g, t_max)
-        rl1 = l1_distance(symmetric_rearrangement(f), symmetric_rearrangement(g))
-        assert gap == pytest.approx(rl1, abs=2 * max(f.dx, g.dx))
 
 
 # ---------------------------------------------------------------------------

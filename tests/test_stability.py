@@ -31,6 +31,7 @@ from plstab.stability import (
     ReductionCheckError,
     _best_amplitude,
     _lipschitz_scan,
+    _median_amplitude,
     near_equality_pair,
     random_log_concave,
     random_log_concave_pair,
@@ -196,6 +197,51 @@ def test_best_amplitude_beats_a_dense_grid(pair, cells):
     best = l1_distance(u, scale_amplitude(w, a))
     grid = min(l1_distance(u, scale_amplitude(w, b)) for b in np.linspace(0.5 * ratio, 2.0 * ratio, 401))
     assert best <= grid + 1e-12 * (mass(u) + a * mass(w))
+
+
+@st.composite
+def amplitude_problems(draw):
+    """(g, f, c, lo, hi): g >= 0, f >= 0 with zero cells and at least one
+    positive one, cell weights c > 0 and a bracket 0 < lo < hi."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = np.where(rng.random(n) < draw(st.floats(0.0, 0.5)), 0.0, rng.uniform(1e-3, 10.0, n))
+    f[rng.integers(n)] = rng.uniform(1e-3, 10.0)
+    g = rng.uniform(0.0, 10.0, n)
+    if draw(st.booleans()):  # g near a multiple of f, so the median falls inside the bracket
+        g = np.abs(rng.uniform(0.5, 2.0) * f + rng.normal(0.0, 0.1, n))
+    c = rng.uniform(1e-3, 10.0, n)
+    lo = draw(st.floats(1e-3, 5.0))
+    return g, f, c, lo, lo * (1.0 + draw(st.floats(1e-3, 10.0)))
+
+
+@given(amplitude_problems())
+@settings(max_examples=200, deadline=None)
+def test_median_amplitude_is_the_exact_minimiser(problem):
+    g, f, c, lo, hi = problem
+    a = _median_amplitude(g, f, lo, hi, c)
+    assert lo <= a <= hi
+    grid = np.linspace(lo, hi, 2001)
+    dense = float(np.min(np.sum(c * np.abs(g - grid[:, None] * f), axis=1)))
+    assert np.sum(c * np.abs(g - a * f)) <= dense + 1e-12 * (np.sum(c * g) + hi * np.sum(c * f))
+
+
+def _identical_grid_branch(u: GridFunction, w: GridFunction, lo: float, hi: float) -> float:
+    # the identical-grid branch of _best_amplitude as it stood before _median_amplitude
+    pos = w.values > 0
+    ratios = u.values[pos] / w.values[pos]
+    order = np.argsort(ratios, kind="stable")
+    weight = np.cumsum(w.values[pos][order])
+    median = float(ratios[order][np.searchsorted(weight, 0.5 * weight[-1])])
+    return min(max(median, lo), hi)
+
+
+@given(amplitude_problems(), st.floats(-5.0, 5.0), st.floats(1e-3, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_best_amplitude_on_identical_grids_keeps_its_bits(problem, x0, dx):
+    g, f, _, lo, hi = problem
+    u, w = GridFunction(x0, dx, g), GridFunction(x0, dx, f)
+    assert _best_amplitude(u, w, lo, hi).hex() == _identical_grid_branch(u, w, lo, hi).hex()
 
 
 @pytest.mark.parametrize("exact_value, minimiser", [(-5.0, 777), (100.0, 779)])
