@@ -189,14 +189,14 @@ def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> f
 
     That distance F(a) is convex in a.  On identical grids it is
     dx * sum|u_i - a*w_i|, least at the weighted median of u_i/w_i with
-    weights w_i (``_median_amplitude``).  On any other pair F' is a sum over the segments on which u
-    and w are both linear (``_linear_pieces``): the segment's length times the
-    mean of w*sign(a*w - u), exact once the segment is split at its one
-    crossing.  Its sign change is found by false position down to adjacent
-    floats.  A segment whose a*w - u keeps one sign at both ends across the
-    whole bracket adds a fixed term and leaves the active set.  The result
-    depends on (u, w) alone, not on the round-off of the kernels that
-    evaluate F.
+    weights w_i (``_median_amplitude``).  On any other pair F' is a sum over
+    the segments on which u and w are both linear (``_linear_pieces``): the
+    segment's length times the mean of w*sign(a*w - u), exact once the
+    segment is split at its one crossing.  Its sign change is found by false
+    position down to adjacent floats.  A segment whose a*w - u keeps one sign
+    at both ends across the whole bracket adds a fixed term and leaves the
+    active set.  The result depends on (u, w) alone, not on the round-off of
+    the kernels that evaluate F.
     """
     if u.x0 == w.x0 and u.dx == w.dx and u.n == w.n:
         return _median_amplitude(u.values, w.values, lo, hi)
@@ -563,7 +563,7 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     f: on the shared grid it is sum c_i * |g_i - a*f_i| with the radial cell
     weights c, least at the weighted median of g_i/f_i (``_median_amplitude``).
     A grid r <= 5 whose outer two cells carry more than 1e-8 of f's weighted
-    mass (dimensions from about 70 up) is a PreconditionError."""
+    mass (from about dimension 70 at n = 1024) is a PreconditionError."""
     if n_dim < 2:
         raise DomainError("radial family needs ambient dimension >= 2")
     if cfg.phi_id != "even_radial":
