@@ -24,8 +24,9 @@ line of /proc/stat, in clock ticks; null where it cannot be read) and the
 operations it attempted, under ``rusage`` with per-side medians of the
 totals and of the totals per operation (a run lasts a fixed time, so a
 faster side runs more rounds).  User CPU per operation that stays flat
-while wall_s jumps points at CPU sharing; one that jumps with wall_s points
-inside the process.
+while wall_s jumps points at time lost to other tenants (with steal to
+match); one that jumps with wall_s means each operation did more work, from
+inside the process or from contention for shared caches.
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
       [--workloads sweep_1d,pairs_csv] [--seed 1]
