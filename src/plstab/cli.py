@@ -296,6 +296,8 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     return repr(v) if isinstance(v, float) else str(v)
 
 
@@ -355,7 +357,8 @@ def _counterexample_point(args):
     else:
         res = counterexample_family(cfg)
     tau = min(t, 1.0 - t)
-    ratio = res.distance / math.sqrt(res.epsilon / tau) if res.epsilon > 0 else float("nan")
+    # undefined where the deficit is not positive: null in JSON, empty in CSV
+    ratio = res.distance / math.sqrt(res.epsilon / tau) if res.epsilon > 0 else None
     return {"delta": delta, "t": t, "tau": tau, "epsilon": res.epsilon,
             "distance": res.distance, "ratio": ratio}
 
@@ -372,6 +375,12 @@ def _run_counterexample(cfg: ExperimentConfig, radial: bool) -> int:
             rows = list(pool.map(_counterexample_point, points))
     else:
         rows = [_counterexample_point(p) for p in points]
+    if cfg.sweep is None and rows[0]["epsilon"] <= 0:
+        dim = cfg.dimension if radial else 1
+        raise PreconditionError(
+            f"deficit epsilon = {rows[0]['epsilon']!r} is not positive at dimension {dim}: "
+            "it is round-off, and distance/sqrt(epsilon/tau) is undefined"
+        )
     summary = {}
     fit_pts = [(r["epsilon"], r["distance"]) for r in rows if r["epsilon"] > 0 and r["distance"] > 0]
     if len(fit_pts) >= 3:

@@ -102,19 +102,41 @@ def _hull_properties(seed: int) -> CheckResult:
     return CheckResult("hull_dominates_idempotent", ok and worst <= 1e-10, f"idempotence drift {worst:.2e}")
 
 
-def _numerical_lemma(seed: int) -> CheckResult:
+def _lemma_samples(seed: int, n: int = 100_000):
+    """The (x, y, z, lam) samples of the numerical-lemma check."""
     rng = np.random.default_rng(seed)
-    n = 100_000
     y = rng.uniform(0.01, 10.0, n)
     z = rng.uniform(0.01, 10.0, n)
     lam = rng.uniform(0.01, 0.99, n)
     base = (lam * np.sqrt(y) + (1.0 - lam) * np.sqrt(z)) ** 2
     x = base * rng.uniform(1.0, 3.0, n)
-    tau = np.minimum(lam, 1.0 - lam)
-    lhs = x - base
-    rhs = np.abs(x - (lam * y + (1.0 - lam) * z)) + tau * (np.sqrt(y) - np.sqrt(z)) ** 2
-    bad = int(np.count_nonzero(lhs > rhs))
-    return CheckResult("numerical_lemma", bad == 0, f"{bad} violations in {n}")
+    return x, y, z, lam
+
+
+def _lemma_excess(x, y, z, lam):
+    """lhs - rhs of x - (lam*sqrt(y) + (1-lam)*sqrt(z))^2 <= |x - m| +
+    tau*(sqrt(y) - sqrt(z))^2, m = lam*y + (1-lam)*z, by the direct formula,
+    and the round-off slack it is compared against.
+
+    Exactly, rhs - lhs = 2*(m - x)_+ + tau^2*(sqrt(y) - sqrt(z))^2 >= 0, so
+    only rounding can make lhs exceed rhs.  Each side takes at most 16
+    roundings of terms bounded by max(x, m): the square is at most m, and
+    tau*(sqrt(y) - sqrt(z))^2 <= tau*max(y, z) <= m.  So 16 ulps of
+    max(x, m) bound the error of lhs - rhs.
+    """
+    m = lam * y + (1.0 - lam) * z
+    excess = x - (lam * np.sqrt(y) + (1.0 - lam) * np.sqrt(z)) ** 2
+    excess -= np.abs(x - m) + np.minimum(lam, 1.0 - lam) * (np.sqrt(y) - np.sqrt(z)) ** 2
+    slack = np.maximum(x, m, out=m)
+    slack *= 16.0 * np.finfo(float).eps
+    return excess, slack
+
+
+def _numerical_lemma(seed: int) -> CheckResult:
+    x, y, z, lam = _lemma_samples(seed)
+    excess, slack = _lemma_excess(x, y, z, lam)
+    bad = int(np.count_nonzero(excess > slack))
+    return CheckResult("numerical_lemma", bad == 0, f"{bad} violations in {x.size}")
 
 
 def _lemma_square(seed: int) -> CheckResult:

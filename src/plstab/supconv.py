@@ -8,26 +8,36 @@ log-concave inputs its maximum is the upper boundary of the Minkowski sum
 t*hypo(log f) + (1-t)*hypo(log g), which is exact in O(n_f + n_g) by merging
 the two edge lists by slope (the idea of Lucet's linear-time Legendre
 transform); every vertex of the merged chain is a pair of grid nodes, so the
-stage-1 value is attained.  Stage 2 refines around the stage-1 point with a
-vectorized bracketed ternary search that re-evaluates the objective with
-three-point quadratic interpolation of the log values.  The refinement
-removes the O(dx^2) flattening bias of piecewise linear interpolation, which
-matters when deficits of order 1e-6 are measured.  Each of its 45 steps
-evaluates both probes in one pass, stacked as [m1; m2], and every
-intermediate of that pass goes into a workspace allocated once per
-sup_convolution call; the operations per element are those of one
-evaluation per probe, so the bits are the same.  Both interpolants read
-tables built once per density (per cell a base value and a step, per node the
-first and second differences and whether the three-point stencil is finite),
-so each vectorized objective evaluation is a few gathers and fused
-arithmetic; every table entry is a difference the direct formula computes, in
-the same order, so the values are bit for bit those of evaluating the formula
-per query.  Stage 1 on non-log-concave inputs is a scan of every f-grid node
-per output cell, pruned by certified block bounds: blocks of 32 nodes whose
-upper bound (max log f plus a range-max of log g over the cells the block can
-reach) falls below a value already attained are skipped.  The pruned scan
-returns bit for bit what the full scan returns and evaluates ~7% of its node
-pairs on bimodal inputs.
+stage-1 value is attained.  Stage 1 on non-log-concave inputs is a scan of
+every f-grid node per output cell, pruned by certified block bounds: blocks of
+32 nodes whose upper bound (max log f plus a range-max of log g over the cells
+the block can reach) falls below a value already attained are skipped.  The
+pruned scan returns bit for bit what the full scan returns and evaluates ~7%
+of its node pairs on bimodal inputs.
+
+Stage 2 maximizes the same objective with three-point quadratic
+interpolation of the log values over a window of half-width
+w = max(dx_f, dx_g*(1-t)/t) around the stage-1 point.  This removes the
+O(dx^2) flattening bias of piecewise linear interpolation, which matters when
+deficits of order 1e-6 are measured.  The interpolant switches stencil at
+every multiple of half a cell (``rint`` picks the three-point centre, the
+linear fallback beside zero cells its ``floor`` cell), so between consecutive
+switches of f in x and of g in y the model is one quadratic in x, and its
+maximum on the window is the best of one candidate per piece: the vertex,
+clipped to the piece, where the piece is concave, else the end its slope
+rises to.  Each candidate is evaluated with the stencils its piece takes at
+its midpoint, that is, as the one-sided limit at a piece end, where the model
+jumps by t*D3/8.  With its two ends, a window holds at most 8 + 4*rho such
+breakpoints, rho the larger of t*dx_f/((1-t)*dx_g) and its inverse (12 at
+t = 1/2 on equal grids); calls with more than ``_EXACT_MAX_BREAKPOINTS``
+keep the bracketed ternary search, which is cheaper there (its 45 steps cost
+the same at any t, the enumeration grows with rho).  Each step evaluates both
+probes in one pass over a workspace allocated once per call.
+Both interpolants read tables built once per density (per cell a base value
+and a step, per node the first and second differences and whether the
+three-point stencil is finite); every table entry is a difference the direct
+formula computes, in the same order, so the values are bit for bit those of
+evaluating the formula per query.
 """
 
 from __future__ import annotations
@@ -49,6 +59,14 @@ DEFAULT_MAX_CELLS = 8192
 _NEG = -np.inf
 _SCAN_BLOCK = 32  # f-nodes per bounded block of the grid scan
 _SCAN_ROWS = 256  # output cells per vectorized chunk of the grid scan
+# Stage 2 enumerates the pieces of windows of at most this many breakpoints
+# (ends included; see _enumerates) and runs the ternary search on wider ones.
+# Stage-2 ms per call, ternary -> enumeration, random_log_concave_pair(3) at
+# n = 4096 and 16384 (8192 output cells), 2-core Xeon, numpy 2.4: 12
+# breakpoints (t = 0.5) 8.2 -> 3.1 and 17.1 -> 6.1; 30 (t = 0.15) 8.8 -> 7.5
+# and 17.8 -> 15.3; 34 (t = 0.13) 8.4 -> 8.3 and 17.0 -> 17.6; 37 (t = 0.12)
+# 8.4 -> 9.1 and 16.8 -> 18.9.  Break-even is near 33.
+_EXACT_MAX_BREAKPOINTS = 30
 
 
 def _log_values(f: GridFunction) -> np.ndarray:
@@ -102,12 +120,20 @@ class _LogInterp:
     def linear(self, q: np.ndarray) -> np.ndarray:
         u = np.subtract(q, self.x0)
         u /= self.dx
+        kf, k = self.cell(u)
+        return self.two_point(np.subtract(u, kf, out=u), k)
+
+    def cell(self, u: np.ndarray):
+        """The linear cell floor(u) of fractional indices u, clipped to
+        [-1, n-1] (the -inf cells), as a float and as an index."""
         kf = np.floor(u)
         np.maximum(kf, -1.0, out=kf)
         np.minimum(kf, self.n - 1, out=kf)
-        k = kf.astype(np.intp)
-        s = np.subtract(u, kf, out=u)
-        # val = base[k] + s*step[k], in place
+        return kf, kf.astype(np.intp)
+
+    def two_point(self, s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """base[k] + s*step[k] at offsets s from the nodes k of their cells; an
+        offset of exactly 0 takes the node value."""
         val = self._step.take(k, mode="wrap")
         val *= s
         val += self._base.take(k, mode="wrap")
@@ -115,6 +141,52 @@ class _LogInterp:
         if node.any():
             val[node] = self._node[k[node]]
         return val
+
+    def stencil(self, u, kf, k, lin, bad) -> None:
+        """The three-point stencil of fractional indices u: its centre node
+        rint(u) clipped to [1, n-2], as a float into kf and as an index into
+        k, and into lin whether the linear fallback applies instead (u off the
+        grid or a stencil value not finite); bad is scratch."""
+        np.rint(u, out=kf)
+        np.maximum(kf, 1.0, out=kf)
+        np.minimum(kf, self.n - 2, out=kf)
+        np.copyto(k, kf, casting="unsafe")
+        np.less(u, 0.0, out=lin)
+        np.greater(u, self.n - 1, out=bad)
+        lin |= bad
+        self._no_stencil.take(k, out=bad, mode="wrap")
+        lin |= bad
+
+    def three_point(self, s, k, out, h, tmp) -> np.ndarray:
+        """The three-point formula logv[k] + h*D1[k] + h*s*D2[k], h = s/2, at
+        offsets s from the stencil centres k, into out (h and tmp are
+        scratch).  D1 = D2 = 0 where the stencil is not finite: no inf - inf,
+        and those elements take the linear value instead."""
+        np.multiply(s, 0.5, out=h)
+        self.logv.take(k, out=out, mode="wrap")
+        self._d1.take(k, out=tmp, mode="wrap")
+        tmp *= h
+        out += tmp
+        h *= s
+        self._d2.take(k, out=tmp, mode="wrap")
+        tmp *= h
+        out += tmp
+        return out
+
+    def slopes(self, s, k, lin, kl, d2, tmp) -> None:
+        """The first and second derivatives in u, at offsets s, of the pieces
+        of the model whose stencil centres are k: D1/2 + s*D2 into s and D2
+        into d2 from the three-point tables, or step and 0 on the linear cells
+        kl where lin is set (kl holds one cell per set element of lin); tmp
+        is scratch."""
+        self._d2.take(k, out=d2, mode="wrap")
+        s *= d2
+        self._d1.take(k, out=tmp, mode="wrap")
+        tmp *= 0.5
+        s += tmp
+        if kl.size:
+            s[lin] = self._step.take(kl, mode="wrap")
+            d2[lin] = 0.0
 
     def quadratic(self, q: np.ndarray, out=None, work=None) -> np.ndarray:
         """Three-point Lagrange interpolation; falls back to linear near zeros.
@@ -127,29 +199,9 @@ class _LogInterp:
         val = np.empty(q.shape) if out is None else out
         np.subtract(q, self.x0, out=u)
         u /= self.dx
-        # the node index, clipped to [1, n-2] as a float and only then cast
-        np.rint(u, out=kf)
-        np.maximum(kf, 1.0, out=kf)
-        np.minimum(kf, self.n - 2, out=kf)
-        np.copyto(k, kf, casting="unsafe")
-        np.less(u, 0.0, out=lin)
-        np.greater(u, self.n - 1, out=bad)
-        lin |= bad
-        self._no_stencil.take(k, out=bad, mode="wrap")
-        lin |= bad
+        self.stencil(u, kf, k, lin, bad)
         s = np.subtract(u, kf, out=u)
-        h = np.multiply(s, 0.5, out=kf)
-        # val = logv[k] + h*D1[k] + h*s*D2[k], one operation at a time; D1 =
-        # D2 = 0 where the stencil is not finite: no inf - inf, and those
-        # elements take the linear value below
-        self.logv.take(k, out=val, mode="wrap")
-        self._d1.take(k, out=tmp, mode="wrap")
-        tmp *= h
-        val += tmp
-        h *= s
-        self._d2.take(k, out=tmp, mode="wrap")
-        tmp *= h
-        val += tmp
+        self.three_point(s, k, val, kf, tmp)
         if lin.any():
             val[lin] = self.linear(q[lin])
         return val
@@ -289,6 +341,177 @@ def _ternary_max(obj, z, lo, hi, iters):
     return xs, obj(z, xs)
 
 
+def _enumerates(t: float, dx_f: float, dx_g: float) -> bool:
+    """Whether stage 2 takes every piece of its windows rather than the
+    ternary search: whether a window holds at most _EXACT_MAX_BREAKPOINTS
+    breakpoints, its ends included.
+
+    The window is [x1 - w, x1 + w] with w = max(dx_f, dx_g*(1-t)/t).  The
+    model switches stencil at every multiple of half a cell of f in x and of
+    g in y = (z - t*x)/(1-t), whose range is the window's times t/(1-t); so
+    the window holds at most floor(4w/dx_f) + 1 of f's switches and
+    floor(4w*t/((1-t)*dx_g)) + 1 of g's.  One of 4w/dx_f and
+    4w*t/((1-t)*dx_g) is 4 and the other 4*rho, rho the larger of a/b and
+    b/a for a = t*dx_f and b = (1-t)*dx_g, so the count is 8 + floor(4*rho)
+    (12 at rho = 1).  Reads only (t, dx_f, dx_g), and is symmetric under
+    (f, t) <-> (g, 1-t).
+    """
+    a, b = t * dx_f, (1.0 - t) * dx_g
+    # 8 + floor(4*rho) <= K* without a division
+    return 4.0 * max(a, b) < (_EXACT_MAX_BREAKPOINTS - 7) * min(a, b)
+
+
+def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
+    """Per cell, the maximum over x in [lo, hi] of the stage-2 model
+    t*Q_f(x) + (1-t)*Q_g((z - t*x)/(1-t)), Q the three-point interpolant of
+    ``_LogInterp.quadratic``, and the first x in order that attains it;
+    a window with hi < lo is the point lo.
+
+    Between consecutive breakpoints (multiples of half a cell of f in x and
+    of g in y) every stencil is fixed, so the model is one quadratic in x.
+    Each piece contributes one candidate: the vertex clipped to the piece
+    where it is concave, else the end its midpoint slope points to.  The
+    candidate is evaluated with the stencils taken at the piece's midpoint
+    (the one-sided limit at a piece end; the model jumps there by
+    t*D3/8), through the same formulas as ``quadratic``.
+
+    Rows hold each window's breakpoints, padded with its ends and sorted;
+    they are processed in chunks of about max(n, 2**13) elements, over one
+    workspace of eight such arrays (and five of bools).
+    """
+    xs = np.empty(z.size)
+    vs = np.empty(z.size)
+    a = lo
+    b = np.maximum(lo, hi)
+
+    def halves(li, x):
+        # x in half cells of li's grid
+        return 2.0 * (x - li.x0) / li.dx
+
+    def y_of(zz, x):
+        return (zz - t * x) / (1.0 - t)
+
+    # the most multiples of half a cell strictly inside one window, of f in
+    # x and of g in y (which runs from y(b) up to y(a))
+    nf = int(max(np.max(np.ceil(halves(lf, b)) - np.floor(halves(lf, a))) - 1.0, 0.0))
+    ng = int(max(np.max(np.ceil(halves(lg, y_of(z, a))) - np.floor(halves(lg, y_of(z, b))))
+                 - 1.0, 0.0))
+    cols = nf + ng + 2
+    rows = max(1, max(z.size, 1 << 13) // cols)
+    reals = np.empty((6, rows * cols))
+    ints = np.empty((2, rows * (cols - 1)), dtype=np.intp)
+    masks = np.empty((5, rows * (cols - 1)), dtype=bool)
+    up_f = np.arange(1.0, nf + 1.0)
+    up_g = np.arange(1.0, ng + 1.0)
+    c1 = lf.dx / lg.dx
+    c2 = t * c1 * c1 / (1.0 - t)
+    for start in range(0, z.size, rows):
+        stop = min(start + rows, z.size)
+        m = stop - start
+        zz = z[start:stop, None]
+        aa, bb = a[start:stop, None], b[start:stop, None]
+        # v takes bp's buffer once the candidates are placed
+        bp = reals[0, : m * cols].reshape(m, cols)
+        v, x, s_f, s_g, d2_f, d2_g = (buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in reals)
+        k_f, k_g = (buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in ints)
+        lin_f, lin_g, bad, concave, rising = (
+            buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in masks)
+        # breakpoints, clipped into the window and sorted along each row
+        inner = bp[:, 1 : nf + 1]
+        np.add(np.floor(halves(lf, aa)), up_f, out=inner)
+        inner *= 0.5 * lf.dx
+        inner += lf.x0
+        inner = bp[:, nf + 1 : -1]
+        np.add(np.floor(halves(lg, y_of(zz, bb))), up_g, out=inner)
+        inner *= 0.5 * lg.dx
+        inner += lg.x0
+        inner *= 1.0 - t
+        np.subtract(zz, inner, out=inner)
+        inner /= t
+        inner = bp[:, 1:-1]
+        np.maximum(inner, aa, out=inner)
+        np.minimum(inner, bb, out=inner)
+        bp[:, 0] = aa[:, 0]
+        bp[:, -1] = bb[:, 0]
+        bp.sort(axis=1)
+        p_lo, p_hi = bp[:, :-1], bp[:, 1:]
+        # each piece's stencils at its midpoint x, and the model's slope and
+        # curvature there, in units of f's cells (x is scratch meanwhile)
+        np.add(p_lo, p_hi, out=x)
+        x *= 0.5
+        np.subtract(x, lf.x0, out=s_f)
+        s_f /= lf.dx
+        kl_f = _piece_stencil(lf, s_f, d2_f, k_f, lin_f, bad)
+        np.multiply(x, t, out=s_g)
+        np.subtract(zz, s_g, out=s_g)
+        s_g /= 1.0 - t
+        s_g -= lg.x0
+        s_g /= lg.dx
+        kl_g = _piece_stencil(lg, s_g, d2_g, k_g, lin_g, bad)
+        lf.slopes(s_f, k_f, lin_f, kl_f, d2_f, x)
+        lg.slopes(s_g, k_g, lin_g, kl_g, d2_g, x)
+        s_g *= c1
+        s_f -= s_g
+        d2_g *= c2
+        d2_f += d2_g
+        # the candidate: the clipped vertex of a concave piece, else the end
+        # the slope rises to (the lower end on a flat slope)
+        np.less(d2_f, 0.0, out=concave)
+        np.greater(s_f, 0.0, out=rising)
+        np.divide(s_f, d2_f, out=s_f, where=concave)
+        np.logical_not(concave, out=concave)
+        np.copyto(s_f, np.inf, where=concave)
+        rising &= concave
+        np.copyto(s_f, -np.inf, where=rising)
+        s_f *= lf.dx
+        np.add(p_lo, p_hi, out=x)
+        x *= 0.5
+        x -= s_f
+        np.maximum(x, p_lo, out=x)
+        np.minimum(x, p_hi, out=x)
+        # the candidates' values under their pieces' stencils, formed as the
+        # stage-2 objective forms them
+        _piece_value(lf, x, k_f, lin_f, kl_f, d2_f, s_f, s_g, d2_g)
+        np.multiply(x, t, out=s_f)
+        np.subtract(zz, s_f, out=s_f)
+        s_f /= 1.0 - t
+        _piece_value(lg, s_f, k_g, lin_g, kl_g, v, s_g, d2_g, s_f)
+        d2_f *= t
+        v *= 1.0 - t
+        v += d2_f
+        best = np.argmax(v, axis=1)
+        row = np.arange(m)
+        vs[start:stop] = v[row, best]
+        xs[start:stop] = x[row, best]
+    return xs, vs
+
+
+def _piece_stencil(li: _LogInterp, u, kf, k, lin, bad):
+    """The stencil of each piece from its midpoint's fractional index u: the
+    three-point centre, or the linear cell where lin is set, into k, and u
+    turned into the offset from it; kf and bad are scratch.  Returns the
+    linear cells, one per set element of lin."""
+    li.stencil(u, kf, k, lin, bad)
+    kl = np.empty(0, dtype=np.intp)
+    if lin.any():
+        kl = li.cell(u[lin])[1]
+        k[lin] = kl
+    u -= k
+    return kl
+
+
+def _piece_value(li: _LogInterp, q, k, lin, kl, out, h, tmp, s):
+    """The model at the points q under fixed stencils (``_piece_stencil``),
+    into out; h, tmp and s are scratch (s may be q)."""
+    np.subtract(q, li.x0, out=s)
+    s /= li.dx
+    s -= k
+    li.three_point(s, k, out, h, tmp)
+    if kl.size:
+        out[lin] = li.two_point(s[lin], kl)
+    return out
+
+
 def _range_max_table(v: np.ndarray) -> np.ndarray:
     """Sparse table: row k holds max(v[i : i + 2**k]) at column i (-inf padded)."""
     levels = [v]
@@ -369,7 +592,15 @@ def _block_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
 def sup_convolution(
     f: GridFunction, g: GridFunction, t: float, max_cells: int = DEFAULT_MAX_CELLS
 ) -> SupConvResult:
-    """Compute h_t on a grid spanning t*range(f) + (1-t)*range(g)."""
+    """Compute h_t on a grid spanning t*range(f) + (1-t)*range(g).
+
+    Per output cell, h is the larger of the stage-1 value (the exact maximum
+    under linear interpolation) and the stage-2 value (the maximum of the
+    three-point model over a window around the stage-1 point: exact, piece by
+    piece, while the window holds at most ``_EXACT_MAX_BREAKPOINTS``
+    breakpoints, else a 45-step ternary search); ``attained_x`` is where it is
+    attained, the stage-2 point on ties.  At most ``max_cells`` output cells.
+    """
     if not 0.0 < t < 1.0:
         raise DomainError("t must lie in (0, 1)")
     af, bf = _support_range(f)
@@ -410,10 +641,13 @@ def sup_convolution(
 
     # local quadratic refinement around the stage-1 point
     w = max(f.dx, g.dx * (1.0 - t) / t)
-    q_obj = _quadratic_objective(lf, lg, t, 2 * n)
     r_lo = np.maximum(x_lo, xs1 - w)
     r_hi = np.minimum(x_hi, xs1 + w)
-    xs2, v2 = _ternary_max(q_obj, z, r_lo, r_hi, iters=45)
+    if _enumerates(t, f.dx, g.dx):
+        xs2, v2 = _exact_max(lf, lg, t, z, r_lo, r_hi)
+    else:
+        q_obj = _quadratic_objective(lf, lg, t, 2 * n)
+        xs2, v2 = _ternary_max(q_obj, z, r_lo, r_hi, iters=45)
     best = np.maximum(v1, v2)
     attained = np.where(v2 >= v1, xs2, xs1)
 

@@ -308,6 +308,38 @@ def test_degenerate_fit_is_precondition_error(capsys):
     assert "no spread" in capsys.readouterr().err
 
 
+def test_radial_point_without_deficit_is_precondition_error(capsys):
+    # at d = 60 and delta = 0.05 epsilon is -1.1e-16, round-off: a single
+    # point has no ratio to report
+    assert main(["radial", "--delta", "0.05", "--n", "1024", "--dimension", "60"]) == 3
+    err = capsys.readouterr().err
+    assert "epsilon" in err and "dimension 60" in err
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_sweep_row_without_deficit_has_null_ratio(tmp_path, capsys):
+    # delta = 0.01, 0.08, 0.15 at d = 60: epsilon -1.1e-16, 0 and 6.7e-16; the
+    # first two rows have no ratio, and too few rows are left for a fit
+    args = ["radial", "--sweep", "delta=0.01:0.15:3", "--n", "1024", "--dimension", "60"]
+    assert main(args) == 0
+    report = strict_json(capsys.readouterr().out)
+    undefined = [row for row in report["rows"] if row["epsilon"] <= 0]
+    assert undefined and all(row["ratio"] is None for row in undefined)
+    assert report["summary"] == {}
+    out = tmp_path / "sweep.csv"
+    assert main(args + ["--format", "csv", "--out", str(out)]) == 0
+    header, *body = (line.split(",") for line in out.read_text().splitlines()
+                     if not line.startswith("#"))
+    eps, ratio = header.index("epsilon"), header.index("ratio")
+    assert [row[ratio] for row in body if float(row[eps]) <= 0] == [""] * len(undefined)
+
+
 @pytest.mark.parametrize("dim", ["200", "343"])
 def test_radial_grid_truncating_mass_is_precondition_error(capsys, dim):
     # the weighted mass of exp(-pi r^2) peaks at sqrt((d-1)/(2 pi)), near the grid's r = 5

@@ -25,6 +25,7 @@ from plstab import (
     trace_inequality_check,
 )
 from plstab.densities import uniform
+from plstab.invariants import _lemma_excess, _lemma_samples, _numerical_lemma
 from plstab.stability import random_log_concave_pair, random_piecewise_linear, random_unimodal
 
 
@@ -220,6 +221,19 @@ def test_numerical_lemma_randomized():
     lhs = x - base
     rhs = np.abs(x - (lam * y + (1.0 - lam) * z)) + tau * (np.sqrt(y) - np.sqrt(z)) ** 2
     assert np.count_nonzero(lhs > rhs) == 0
+
+
+def test_invariant_lemma_check_allows_round_off_only():
+    # seeds 20 and 50 each draw one sample where the direct formula puts lhs
+    # a fraction of an ulp above rhs; exactly, rhs - lhs >= 0 always
+    for seed in (20, 50):
+        assert _numerical_lemma(seed).ok
+        x, y, z, lam = _lemma_samples(seed)
+        excess, slack = _lemma_excess(x, y, z, lam)
+        above = excess > 0.0
+        assert np.any(above)
+        # with rhs lowered by 1e-12*x the same samples are violations
+        assert np.all(excess[above] + 1e-12 * x[above] > slack[above])
 
 
 def test_numerical_lemma_validation():

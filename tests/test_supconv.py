@@ -268,9 +268,11 @@ def test_sup_convolution_matches_reference_interp(monkeypatch, kind):
         dx = 12 / 800
         f = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs) - 2.5) ** 2))
         g = GridFunction(-6, dx, np.exp(-0.5 * (np.abs(xs - 0.7) - 1.5) ** 2))
-    res = sup_convolution(f, g, 0.3)
+    # t = 0.05 keeps the ternary search, whose objective is all the
+    # reference implements
+    res = sup_convolution(f, g, 0.05)
     monkeypatch.setattr(plstab.supconv, "_LogInterp", ReferenceLogInterp)
-    ref = sup_convolution(f, g, 0.3)
+    ref = sup_convolution(f, g, 0.05)
     assert_bits_equal(res.h.values, ref.h.values)
     assert_bits_equal(res.attained_x, ref.attained_x)
 
@@ -666,6 +668,151 @@ def test_stage2_stacked_probes_match_two_call_loop(case):
     assert_bits_equal(v, v_ref)
     # the same search on a one-element bracket, as the counterexample bump uses it
     assert _odd_bump_peak().hex() == "0x1.e77636ba60638p-3"
+
+
+# ---------------------------------------------------------------------------
+# stage 2: the exact maximum of the piecewise-quadratic model
+
+
+def ternary_stage2(f, g, t):
+    """Stage 2 as it ran before the piecewise enumeration, in place of
+    ``_exact_max``: 45 ternary steps over each window, one objective call per
+    probe through ReferenceLogInterp (``_LogInterp`` on two nodes)."""
+    rf, rg = (ReferenceLogInterp(d) if d.n >= 3 else _LogInterp(d) for d in (f, g))
+
+    def objective(zz, x):
+        return t * rf.quadratic(x) + (1.0 - t) * rg.quadratic((zz - t * x) / (1.0 - t))
+
+    def stage2(lf, lg, t_, z, lo, hi):
+        return two_call_ternary_max(objective, z, lo, hi, 45)
+
+    return stage2
+
+
+def ternary_sup_convolution(f, g, t):
+    """sup_convolution with every call's stage 2 the ternary search of
+    ``ternary_stage2``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plstab.supconv, "_EXACT_MAX_BREAKPOINTS", math.inf)
+        patch.setattr(plstab.supconv, "_exact_max", ternary_stage2(f, g, t))
+        return sup_convolution(f, g, t)
+
+
+def recorded_sup_convolution(f, g, t):
+    """sup_convolution plus the (z, lo, hi, x, v) of its piecewise stage 2,
+    or None when the call took the ternary search."""
+    calls = []
+    exact = plstab.supconv._exact_max
+
+    def recording(lf, lg, t_, z, lo, hi):
+        x, v = exact(lf, lg, t_, z, lo, hi)
+        calls.append((z, lo, hi, x, v))
+        return x, v
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plstab.supconv, "_exact_max", recording)
+        res = sup_convolution(f, g, t)
+    return res, (calls[0] if calls else None)
+
+
+def scan_stage2_model(f, g, t, z, lo, hi, points=2000):
+    """Max of the model over the midpoints of ``points`` equal parts of each
+    window [lo, max(lo, hi)].  The model's value on a node beside a zero cell
+    is an isolated point (its linear cells are -inf inside), which no piece
+    holds; an even count keeps the scan off the window's ends and centre,
+    the stage-1 point, which is often such a node."""
+    lf, lg = _LogInterp(f), _LogInterp(g)
+    hi = np.maximum(lo, hi)
+    frac = (np.arange(points) + 0.5) / points
+    best = np.empty(z.size)
+    for start in range(0, z.size, 64):
+        rows = slice(start, start + 64)
+        x = lo[rows, None] + (hi - lo)[rows, None] * frac
+        y = (z[rows, None] - t * x) / (1.0 - t)
+        best[rows] = np.max(t * lf.quadratic(x) + (1.0 - t) * lg.quadratic(y), axis=1)
+    return best
+
+
+@st.composite
+def exact_stage2_cases(draw):
+    """(f, g, t): smooth, kinked, bimodal and zero-cell densities on 3 to 300
+    nodes, dx of f and g equal or not, t at the ends of the enumerated range,
+    beyond it and anywhere."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dx = float(rng.uniform(0.01, 0.2))
+    ratio = draw(st.sampled_from([1.0, 0.5, float(rng.uniform(0.3, 3.0))]))
+    dens = []
+    for x0, step in ((float(rng.normal(0.0, 3.0)), dx), (draw(st.sampled_from([0.0, 1.5])), dx * ratio)):
+        kind = draw(st.sampled_from(["smooth", "kinked", "bimodal", "zeros"]))
+        n = draw(st.integers(3, 300))
+        if kind == "bimodal":
+            dens.append(scan_density(rng, "bimodal", x0, step, n))
+        else:
+            dens.append(stage2_density(rng, kind, x0, step, n))
+    t = draw(st.one_of(st.sampled_from([0.05, 0.2, 0.5, 0.8, 0.97]), st.floats(0.01, 0.99)))
+    return dens[0], dens[1], t
+
+
+@given(exact_stage2_cases())
+@settings(max_examples=60, deadline=None)
+def test_exact_stage2_dominates_ternary_and_scan(case):
+    f, g, t = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res, stage2 = recorded_sup_convolution(f, g, t)
+        ref = ternary_sup_convolution(f, g, t)
+    if stage2 is None:
+        # windows wider than the enumeration's limit keep the ternary search
+        assert not plstab.supconv._enumerates(t, f.dx, g.dx)
+        assert_bits_equal(res.h.values, ref.h.values)
+        assert_bits_equal(res.attained_x, ref.attained_x)
+        return
+    with np.errstate(divide="ignore"):
+        log_h, log_ref = np.log(res.h.values), np.log(ref.h.values)
+    # no cell of h below the ternary's, in log
+    hit = ref.h.values > 0.0
+    assert np.all(log_h[hit] >= log_ref[hit] - 1e-12)
+    # every cell reaches the model's maximum over a dense scan of its window
+    z, lo, hi, _, _ = stage2
+    scan = scan_stage2_model(f, g, t, z, lo, hi)
+    finite = np.isfinite(scan)
+    assert np.all(log_h[finite] >= scan[finite] - 1e-12)
+
+
+def test_exact_stage2_rule_is_symmetric():
+    # on equal grids the window holds 8 + floor(4*rho) breakpoints, rho =
+    # max(t, 1-t)/min(t, 1-t): 30 at t = 0.15 (enumerated), 32 at t = 0.14;
+    # the rule reads (t, dx_f, dx_g) only and agrees for (g, f, 1 - t)
+    rule = plstab.supconv._enumerates
+    assert plstab.supconv._EXACT_MAX_BREAKPOINTS == 30
+    assert rule(0.5, 0.01, 0.01) and rule(0.15, 0.01, 0.01) and rule(0.85, 0.01, 0.01)
+    assert not rule(0.14, 0.01, 0.01) and not rule(0.001, 0.01, 0.01)
+    # unequal grids: what counts is t*dx_f against (1-t)*dx_g
+    assert rule(0.05, 0.2, 0.01) and not rule(0.05, 0.01, 0.01)
+    rng = np.random.default_rng(5)
+    for t, dx_f, dx_g in zip(rng.uniform(0.001, 0.999, 500), rng.uniform(0.001, 1.0, 500),
+                             rng.uniform(0.001, 1.0, 500)):
+        assert rule(t, dx_f, dx_g) == rule(1.0 - t, dx_g, dx_f)
+
+
+def test_counterexample_at_extreme_t_keeps_the_ternary(monkeypatch, capsys):
+    # K ~ 4000 at t = 0.001: enumerating the pieces would cost seconds
+    from plstab import cli
+
+    def fail(*args):
+        raise AssertionError("piecewise stage 2 at t = 0.001")
+
+    calls = []
+    ternary = plstab.supconv._ternary_max
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ternary(*args, **kwargs)
+
+    monkeypatch.setattr(plstab.supconv, "_exact_max", fail)
+    monkeypatch.setattr(plstab.supconv, "_ternary_max", counting)
+    assert cli.main(["counterexample", "--t", "0.001", "--n", "4096", "--delta", "0.05"]) == 0
+    assert calls
 
 
 def swap_gap(f, g, t):
