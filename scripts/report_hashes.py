@@ -53,6 +53,9 @@ RUNS = [
     ("counterexample_point_csv",
      ["counterexample", "--delta", "0.03", "--t", "0.3", "--n", "512", "--format", "csv"]),
     ("stability_bimodal_csv_format", ["stability", "--config", "stability.json", "--format", "csv"]),
+    # t = 0.05 puts stage 2 of the sup-convolution on its ternary search
+    ("counterexample_sweep_t005",
+     ["counterexample", "--sweep", "delta=0.002:0.1:4", "--t", "0.05", "--n", "1024"]),
 ]
 
 

@@ -382,8 +382,14 @@ def _run_counterexample(cfg: ExperimentConfig, radial: bool) -> int:
             "it is round-off, and distance/sqrt(epsilon/tau) is undefined"
         )
     summary = {}
-    fit_pts = [(r["epsilon"], r["distance"]) for r in rows if r["epsilon"] > 0 and r["distance"] > 0]
-    if len(fit_pts) >= 3:
+    if cfg.sweep is not None:
+        fit_pts = [(r["epsilon"], r["distance"]) for r in rows
+                   if r["epsilon"] > 0 and r["distance"] > 0]
+        if len(fit_pts) < 3:
+            raise PreconditionError(
+                f"{len(fit_pts)} of {len(rows)} sweep rows have epsilon > 0 and distance > 0: "
+                "the exponent fit needs at least 3"
+            )
         slope, intercept, r2 = exponent_fit(fit_pts)
         summary = {"slope": slope, "intercept": intercept, "r2": r2}
     payload = {"meta": _meta(cfg), "rows": rows, "summary": summary}

@@ -225,9 +225,9 @@ def _l1_equal_spacing(f: GridFunction, g: GridFunction) -> float:
     return float(u.dx * (theta * left + (1.0 - theta) * right + outside))
 
 
-def boundary_mass(f: GridFunction, edge_cells: int = 2) -> float:
-    """Mass carried by the outermost cells; should be tiny for a good window."""
-    k = min(edge_cells, f.n)
+def boundary_mass(f: GridFunction) -> float:
+    """Mass carried by the outermost two cells; should be tiny for a good window."""
+    k = min(2, f.n)
     return float(f.dx * (np.sum(f.values[:k]) + np.sum(f.values[-k:])))
 
 

@@ -42,11 +42,11 @@ def symmetric_rearrangement(f: GridFunction) -> GridFunction:
     n = f.n
     x0 = -0.5 * f.dx * (n - 1)
     centers = x0 + f.dx * np.arange(n)
-    # sort cells by (|center|, right-before-left)
-    order = sorted(range(n), key=lambda i: (abs(centers[i]), -np.sign(centers[i])))
+    # sort cells by (|center|, right-before-left); lexsort keys run last-first
+    order = np.lexsort((-np.sign(centers), np.abs(centers)))
     ranked = np.sort(f.values)[::-1]
     out = np.empty(n)
-    out[np.asarray(order)] = ranked
+    out[order] = ranked
     return GridFunction(x0, f.dx, out)
 
 

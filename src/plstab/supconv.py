@@ -32,7 +32,7 @@ breakpoints, rho the larger of t*dx_f/((1-t)*dx_g) and its inverse (12 at
 t = 1/2 on equal grids); calls with more than ``_EXACT_MAX_BREAKPOINTS``
 keep the bracketed ternary search, which is cheaper there (its 45 steps cost
 the same at any t, the enumeration grows with rho).  Each step evaluates both
-probes in one pass over a workspace allocated once per call.
+probes in one call of the direct objective.
 Both interpolants read tables built once per density (per cell a base value
 and a step, per node the first and second differences and whether the
 three-point stencil is finite); every table entry is a difference the direct
@@ -53,6 +53,7 @@ from .grids import (
     mass,
     support_indices,
 )
+from .logconcave import is_log_concave
 from .transport import monotone_transport
 
 DEFAULT_MAX_CELLS = 8192
@@ -188,15 +189,11 @@ class _LogInterp:
             s[lin] = self._step.take(kl, mode="wrap")
             d2[lin] = 0.0
 
-    def quadratic(self, q: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Three-point Lagrange interpolation; falls back to linear near zeros.
-
-        Every intermediate goes into ``work``, a tuple of three float arrays,
-        one intp array and two bool arrays shaped like q (``_quadratic_work``),
-        and the result into ``out``; both are allocated when not given.
-        """
-        u, kf, tmp, k, lin, bad = _quadratic_work(q.shape) if work is None else work
-        val = np.empty(q.shape) if out is None else out
+    def quadratic(self, q: np.ndarray) -> np.ndarray:
+        """Three-point Lagrange interpolation; falls back to linear near zeros."""
+        u, kf, tmp, val = (np.empty(q.shape) for _ in range(4))
+        k = np.empty(q.shape, dtype=np.intp)
+        lin, bad = (np.empty(q.shape, dtype=bool) for _ in range(2))
         np.subtract(q, self.x0, out=u)
         u /= self.dx
         self.stencil(u, kf, k, lin, bad)
@@ -207,18 +204,11 @@ class _LogInterp:
         return val
 
 
-def _quadratic_work(shape) -> tuple:
-    """Fresh work arrays for ``_LogInterp.quadratic`` on queries of ``shape``."""
-    return (np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.intp),
-            np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
-
-
 @dataclass(frozen=True)
 class SupConvResult:
     """Sup-convolution output plus the maximizing x for each output cell."""
 
     h: GridFunction
-    t: float
     attained_x: np.ndarray
 
 
@@ -228,39 +218,6 @@ def _support_range(f: GridFunction):
         raise DomainError("zero function has no sup-convolution support")
     lo, hi = idx
     return f.x0 + lo * f.dx, f.x0 + hi * f.dx
-
-
-def _quadratic_objective(lf: _LogInterp, lg: _LogInterp, t: float, size: int):
-    """The stage-2 objective x -> t*log f(x) + (1-t)*log g((z - t*x)/(1-t))
-    under three-point quadratic interpolation, for queries x of up to
-    ``size`` elements (z broadcast against x).
-
-    Every intermediate lives in nine arrays of ``size`` elements allocated
-    here, once per sup_convolution call, and each call takes views of them
-    shaped like x; so does the value it returns, which the next call
-    overwrites.  The operations are those of the direct formula, in the same
-    order, so the values are bit for bit the same.
-    """
-    reals = np.empty((6, size))
-    index = np.empty(size, dtype=np.intp)
-    masks = np.empty((2, size), dtype=bool)
-
-    def obj(z, x):
-        m = x.size
-        fx, gy, y, u, kf, tmp = (b[:m].reshape(x.shape) for b in reals)
-        lin, bad = (b[:m].reshape(x.shape) for b in masks)
-        work = (u, kf, tmp, index[:m].reshape(x.shape), lin, bad)
-        lf.quadratic(x, out=fx, work=work)
-        np.multiply(x, t, out=y)
-        np.subtract(z, y, out=y)
-        y /= 1.0 - t
-        lg.quadratic(y, out=gy, work=work)
-        fx *= t
-        gy *= 1.0 - t
-        fx += gy
-        return fx
-
-    return obj
 
 
 def _support_nodes(li: _LogInterp):
@@ -589,9 +546,7 @@ def _block_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
     return best_x, best_val
 
 
-def sup_convolution(
-    f: GridFunction, g: GridFunction, t: float, max_cells: int = DEFAULT_MAX_CELLS
-) -> SupConvResult:
+def sup_convolution(f: GridFunction, g: GridFunction, t: float) -> SupConvResult:
     """Compute h_t on a grid spanning t*range(f) + (1-t)*range(g).
 
     Per output cell, h is the larger of the stage-1 value (the exact maximum
@@ -599,7 +554,8 @@ def sup_convolution(
     three-point model over a window around the stage-1 point: exact, piece by
     piece, while the window holds at most ``_EXACT_MAX_BREAKPOINTS``
     breakpoints, else a 45-step ternary search); ``attained_x`` is where it is
-    attained, the stage-2 point on ties.  At most ``max_cells`` output cells.
+    attained, the stage-2 point on ties.  At most ``DEFAULT_MAX_CELLS`` output
+    cells, spread over the span when it holds more.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("t must lie in (0, 1)")
@@ -612,8 +568,8 @@ def sup_convolution(
     if span <= 0:
         span = dxh
     n = int(np.floor(span / dxh + 1e-9)) + 1
-    if n > max_cells:
-        n = max_cells
+    if n > DEFAULT_MAX_CELLS:
+        n = DEFAULT_MAX_CELLS
         dxh = span / (n - 1)
     n = max(n, 2)
     z = lo + dxh * np.arange(n)
@@ -628,8 +584,6 @@ def sup_convolution(
     x_hi = np.minimum(bf, (z - (1.0 - t) * ag) / t)
     reach = np.abs(z) + max(abs(af), abs(bf), abs(ag), abs(bg))
     empty = x_lo > x_hi + 4.0 * np.finfo(float).eps * reach / t
-
-    from .logconcave import is_log_concave
 
     concave = is_log_concave(f)[0] and is_log_concave(g)[0]
     if concave:
@@ -646,15 +600,17 @@ def sup_convolution(
     if _enumerates(t, f.dx, g.dx):
         xs2, v2 = _exact_max(lf, lg, t, z, r_lo, r_hi)
     else:
-        q_obj = _quadratic_objective(lf, lg, t, 2 * n)
-        xs2, v2 = _ternary_max(q_obj, z, r_lo, r_hi, iters=45)
+        def objective(zz, x):
+            return t * lf.quadratic(x) + (1.0 - t) * lg.quadratic((zz - t * x) / (1.0 - t))
+
+        xs2, v2 = _ternary_max(objective, z, r_lo, r_hi, iters=45)
     best = np.maximum(v1, v2)
     attained = np.where(v2 >= v1, xs2, xs1)
 
     best = np.where(empty, _NEG, best)
     attained = np.where(empty, np.nan, attained)
     values = np.where(np.isfinite(best), np.exp(best), 0.0)
-    return SupConvResult(h=GridFunction(lo, dxh, values), t=t, attained_x=attained)
+    return SupConvResult(h=GridFunction(lo, dxh, values), attained_x=attained)
 
 
 def pl_deficit(h: GridFunction, f: GridFunction, g: GridFunction, lam: float) -> float:

@@ -156,24 +156,19 @@ def _deficit_integrand(tprime: np.ndarray, lam: float) -> np.ndarray:
         return (1.0 - np.sqrt(tprime)) ** 2 / tprime ** (1.0 - lam)
 
 
-def transport_deficit(
-    f: GridFunction, g: GridFunction, lam: float, sentinel_cap: float | None = None
-) -> float:
+def transport_deficit(f: GridFunction, g: GridFunction, lam: float) -> float:
     """tau * integral of f * (1 - sqrt(T'))^2 / (T')^(1-lambda).
 
-    Cells with the +inf derivative sentinel are excluded by default (their
-    mass is available via :func:`excluded_mass`); pass ``sentinel_cap`` to
-    charge them a fixed integrand value instead.
+    Cells with the +inf derivative sentinel are excluded (their mass is
+    available via :func:`excluded_mass`).
     """
     if not 0.0 < lam < 1.0:
         raise DomainError("lambda must lie in (0, 1)")
     fn = normalize(f)
-    return _map_deficit(fn, monotone_transport(fn, normalize(g)), lam, sentinel_cap)
+    return _map_deficit(fn, monotone_transport(fn, normalize(g)), lam)
 
 
-def _map_deficit(
-    fn: GridFunction, m: MonotoneMap, lam: float, sentinel_cap: float | None = None
-) -> float:
+def _map_deficit(fn: GridFunction, m: MonotoneMap, lam: float) -> float:
     """The transport deficit of a normalized density fn under its map m,
     so one map can serve several lambdas."""
     tau = min(lam, 1.0 - lam)
@@ -182,9 +177,6 @@ def _map_deficit(
     resolvable = cdf(fn).resolvable(fn.centers)
     ok = resolvable & np.isfinite(m.Tprime) & (m.Tprime > 0) & (fv > SUPPORT_THRESHOLD)
     term[ok] = fv[ok] * _deficit_integrand(m.Tprime[ok], lam)
-    if sentinel_cap is not None:
-        flagged = m.sentinel_mask() & (fv > SUPPORT_THRESHOLD)
-        term[flagged] = fv[flagged] * sentinel_cap
     return float(tau * fn.dx * np.sum(term))
 
 

@@ -323,15 +323,23 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_sweep_row_without_deficit_has_null_ratio(tmp_path, capsys):
-    # delta = 0.01, 0.08, 0.15 at d = 60: epsilon -1.1e-16, 0 and 6.7e-16; the
-    # first two rows have no ratio, and too few rows are left for a fit
+def test_sweep_too_few_rows_to_fit_is_precondition_error(capsys):
+    # delta = 0.01, 0.08, 0.15 at d = 60: epsilon -1.1e-16, 0 and 6.7e-16;
+    # one row is left for a fit that needs three
     args = ["radial", "--sweep", "delta=0.01:0.15:3", "--n", "1024", "--dimension", "60"]
+    assert main(args) == 3
+    assert "1 of 3 sweep rows have epsilon > 0" in capsys.readouterr().err
+
+
+def test_sweep_row_without_deficit_has_null_ratio(tmp_path, capsys):
+    # at d = 58 the two smallest deltas give epsilon 0 (round-off): those rows
+    # have no ratio, and the six rows with epsilon > 0 still make a fit
+    args = ["radial", "--sweep", "delta=0.01:0.15:8", "--n", "1024", "--dimension", "58"]
     assert main(args) == 0
     report = strict_json(capsys.readouterr().out)
     undefined = [row for row in report["rows"] if row["epsilon"] <= 0]
-    assert undefined and all(row["ratio"] is None for row in undefined)
-    assert report["summary"] == {}
+    assert len(undefined) == 2 and all(row["ratio"] is None for row in undefined)
+    assert set(report["summary"]) == {"slope", "intercept", "r2"}
     out = tmp_path / "sweep.csv"
     assert main(args + ["--format", "csv", "--out", str(out)]) == 0
     header, *body = (line.split(",") for line in out.read_text().splitlines()

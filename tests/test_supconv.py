@@ -33,7 +33,6 @@ from plstab.supconv import (
     _block_scan_max,
     _log_values,
     _merge_max,
-    _quadratic_objective,
     _support_nodes,
     _ternary_max,
 )
@@ -172,9 +171,7 @@ class ReferenceLogInterp:
         val = np.where((s == 1.0) & np.isfinite(y1), y1s, val)
         return np.where(inside, val, -np.inf)
 
-    def quadratic(self, q, out=None, work=None):
-        """``work`` is ignored (every intermediate is a fresh array); the
-        result is copied into ``out`` when one is given."""
+    def quadratic(self, q):
         u = (q - self.x0) / self.dx
         inside = (u >= 0.0) & (u <= self.n - 1)
         k = np.clip(np.rint(u).astype(int), 1, self.n - 2)
@@ -188,11 +185,7 @@ class ReferenceLogInterp:
         yps = np.where(np.isfinite(yp), yp, 0.0)
         quad = y0s + 0.5 * s * (yps - yms) + 0.5 * s * s * (yps - 2.0 * y0s + yms)
         lin = self.linear(q)
-        val = np.where(inside & ok, quad, lin)
-        if out is None:
-            return val
-        out[...] = val
-        return out
+        return np.where(inside & ok, quad, lin)
 
 
 def assert_bits_equal(a, b):
@@ -580,7 +573,7 @@ def test_one_node_support_is_a_shifted_power(t):
 
 
 # ---------------------------------------------------------------------------
-# stage 2: stacked probes over a per-call workspace
+# stage 2: the ternary search's stacked probes
 
 
 def two_call_ternary_max(obj, z, lo, hi, iters):
@@ -654,15 +647,19 @@ def test_stage2_stacked_probes_match_two_call_loop(case):
     f, g, t, z, lo, hi = case
     lf, lg = _LogInterp(f), _LogInterp(g)
     # the reference interpolates with ReferenceLogInterp where it applies (it
-    # reads logv[-1] on two nodes, where _LogInterp's allocating path stands in)
+    # reads logv[-1] on two nodes, where _LogInterp stands in)
     rf, rg = (ReferenceLogInterp(d) if d.n >= 3 else _LogInterp(d) for d in (f, g))
+
+    def objective(zz, x):
+        # the direct objective of sup_convolution's ternary search
+        return t * lf.quadratic(x) + (1.0 - t) * lg.quadratic((zz - t * x) / (1.0 - t))
 
     def two_call_objective(zz, x):
         return t * rf.quadratic(x) + (1.0 - t) * rg.quadratic((zz - t * x) / (1.0 - t))
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, v = _ternary_max(_quadratic_objective(lf, lg, t, 2 * z.size), z, lo, hi, 45)
+        x, v = _ternary_max(objective, z, lo, hi, 45)
         x_ref, v_ref = two_call_ternary_max(two_call_objective, z, lo, hi, 45)
     assert_bits_equal(x, x_ref)
     assert_bits_equal(v, v_ref)
