@@ -34,7 +34,7 @@ from plstab.grids import GridFunction, to_csv
 
 CSV_LO, CSV_HI, CSV_N = -10.0, 10.0, 1024
 
-# (name, argv); the three configs are written next to the CSVs by write_inputs
+# (name, argv); the four configs are written next to the CSVs by write_inputs
 RUNS = [
     ("counterexample_sweep_n1024",
      ["counterexample", "--sweep", "delta=0.002:0.1:6", "--t", "0.5", "--n", "1024"]),
@@ -56,6 +56,9 @@ RUNS = [
     # t = 0.05 puts stage 2 of the sup-convolution on its ternary search
     ("counterexample_sweep_t005",
      ["counterexample", "--sweep", "delta=0.002:0.1:4", "--t", "0.05", "--n", "1024"]),
+    # seeded noise and interior zero cells: the hull certificate of the grid
+    # scan is loose here, so many cells take its wide path
+    ("deficit_noisy_csv", ["deficit", "--config", "deficit_noisy.json"]),
 ]
 
 
@@ -68,18 +71,34 @@ def bimodal(center: float, sep: float, s1: float, s2: float, w: float) -> GridFu
     return GridFunction(CSV_LO, dx, vals)
 
 
+def noisy(f: GridFunction, seed: int) -> GridFunction:
+    """f times seeded U(0.5, 1.5) noise, with one cell in ten set to zero."""
+    rng = np.random.default_rng(seed)
+    vals = f.values * rng.uniform(0.5, 1.5, f.n)
+    vals[rng.random(f.n) < 0.1] = 0.0
+    return f.with_values(vals)
+
+
+def write_config(name: str, command: str, f_path: str, g_path: str) -> None:
+    config = {
+        "command": command,
+        "densities": [{"kind": "csv", "path": f_path}, {"kind": "csv", "path": g_path}],
+        "lambda": 0.35,
+        "grid": {"min": CSV_LO, "max": CSV_HI, "n": CSV_N},
+    }
+    with open(f"{name}.json", "w") as handle:
+        json.dump(config, handle)
+
+
 def write_inputs() -> None:
-    to_csv(bimodal(-0.3, 3.4, 0.6, 0.8, 0.45), "f.csv")
-    to_csv(bimodal(0.4, 3.8, 0.7, 0.55, 0.6), "g.csv")
+    f, g = bimodal(-0.3, 3.4, 0.6, 0.8, 0.45), bimodal(0.4, 3.8, 0.7, 0.55, 0.6)
+    to_csv(f, "f.csv")
+    to_csv(g, "g.csv")
+    to_csv(noisy(f, 1), "f_noisy.csv")
+    to_csv(noisy(g, 2), "g_noisy.csv")
     for command in ("deficit", "stability", "hypograph"):
-        config = {
-            "command": command,
-            "densities": [{"kind": "csv", "path": "f.csv"}, {"kind": "csv", "path": "g.csv"}],
-            "lambda": 0.35,
-            "grid": {"min": CSV_LO, "max": CSV_HI, "n": CSV_N},
-        }
-        with open(f"{command}.json", "w") as handle:
-            json.dump(config, handle)
+        write_config(command, command, "f.csv", "g.csv")
+    write_config("deficit_noisy", "deficit", "f_noisy.csv", "g_noisy.csv")
 
 
 def main() -> int:

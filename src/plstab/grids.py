@@ -84,8 +84,11 @@ def mass(f: GridFunction) -> float:
 
     Uses exact (correctly rounded) summation so the result is invariant under
     any permutation of the values, which the rearrangement code relies on.
+    ``fsum`` reads the same doubles faster through a memoryview than through
+    the array's numpy scalars, and, unlike ``tolist()``, without holding a
+    Python float per cell at once.
     """
-    return f.dx * math.fsum(f.values)
+    return f.dx * math.fsum(memoryview(f.values))
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -60,9 +60,14 @@ class LogConcaveEnvelope:
 
 
 def _upper_concave_majorant(x: np.ndarray, y: np.ndarray):
-    """Indices of the upper hull (monotone chain) of points sorted by x."""
+    """Indices of the upper hull (monotone chain) of points sorted by x.
+
+    The chain runs on Python floats, which take the IEEE double operations
+    numpy scalars would, at a fraction of the cost per step."""
+    x = x.tolist()
+    y = y.tolist()
     keep = []
-    for i in range(x.size):
+    for i in range(len(x)):
         while len(keep) >= 2:
             a, b = keep[-2], keep[-1]
             # drop b if it lies below segment a-i
@@ -75,6 +80,16 @@ def _upper_concave_majorant(x: np.ndarray, y: np.ndarray):
     return np.asarray(keep, dtype=int)
 
 
+def concave_majorant(x: np.ndarray, y: np.ndarray):
+    """The least concave majorant of the points (x_i, y_i), x increasing, at
+    every x_i, and the indices of the points it passes through.  Points with
+    y_i = -inf (zero cells in the log domain) are bridged; at least one y_i
+    must be finite."""
+    finite = np.nonzero(np.isfinite(y))[0]
+    knots = finite[_upper_concave_majorant(x[finite], y[finite])]
+    return np.interp(x, x[knots], y[knots]), knots
+
+
 def log_concave_hull(f: GridFunction) -> LogConcaveEnvelope:
     """Exponential of the least concave majorant of log f over co(supp f)."""
     if mass(f) <= 0:
@@ -84,10 +99,7 @@ def log_concave_hull(f: GridFunction) -> LogConcaveEnvelope:
     vals = f.values[lo : hi + 1]
     pos = vals > SUPPORT_THRESHOLD
     logv = np.where(pos, np.log(np.where(pos, vals, 1.0)), -np.inf)
-    finite = np.nonzero(np.isfinite(logv))[0]
-    hull_idx = _upper_concave_majorant(xs[finite], logv[finite])
-    anchors = finite[hull_idx]
-    hull_log = np.interp(xs, xs[anchors], logv[anchors])
+    hull_log, anchors = concave_majorant(xs, logv)
     hull_vals = np.zeros(f.n)
     hull_vals[lo : hi + 1] = np.exp(hull_log)
     # hull touches base at the anchor cells by construction

@@ -9,11 +9,15 @@ t*hypo(log f) + (1-t)*hypo(log g), which is exact in O(n_f + n_g) by merging
 the two edge lists by slope (the idea of Lucet's linear-time Legendre
 transform); every vertex of the merged chain is a pair of grid nodes, so the
 stage-1 value is attained.  Stage 1 on non-log-concave inputs is a scan of
-every f-grid node per output cell, pruned by certified block bounds: blocks of
-32 nodes whose upper bound (max log f plus a range-max of log g over the cells
-the block can reach) falls below a value already attained are skipped.  The
-pruned scan returns bit for bit what the full scan returns and evaluates ~7%
-of its node pairs on bimodal inputs.
+every f-grid node per output cell, pruned by two certificates.  The
+log-concave hulls of f and g bound the objective by one concave in x, whose
+maximum the same slope merge places; a bisection keeps the interval of nodes
+whose bound reaches the value attained beside that maximum.  Cells whose
+interval is wider than a block of 32 nodes also bound each block (max log f
+plus a range-max of log g over the cells the block can reach) and skip those
+below a value already attained.  The pruned scan returns bit for bit what the
+full scan returns and evaluates ~1.2% of its node pairs on bimodal inputs,
+the certificate's own evaluations included (~7% with block bounds alone).
 
 Stage 2 maximizes the same objective with three-point quadratic
 interpolation of the log values over a window of half-width
@@ -53,7 +57,7 @@ from .grids import (
     mass,
     support_indices,
 )
-from .logconcave import is_log_concave
+from .logconcave import concave_majorant, is_log_concave
 from .transport import monotone_transport
 
 DEFAULT_MAX_CELLS = 8192
@@ -78,7 +82,8 @@ def _log_values(f: GridFunction) -> np.ndarray:
 
 
 class _LogInterp:
-    """Vectorized interpolation of log values with -inf outside the support.
+    """Vectorized interpolation of log values (-inf at zero cells) on the grid
+    x0 + dx*k, with -inf outside the support.
 
     Both interpolants read tables built once per density, so a query is a
     few gathers and fused arithmetic.  Per cell k (u in [k, k+1)) the linear
@@ -96,12 +101,12 @@ class _LogInterp:
     for bit those of evaluating the formulas per query.
     """
 
-    def __init__(self, f: GridFunction):
-        self.x0 = f.x0
-        self.dx = f.dx
-        self.n = n = f.n
+    def __init__(self, x0: float, dx: float, logv: np.ndarray):
+        self.x0 = x0
+        self.dx = dx
+        self.n = n = logv.size
         # node values plus one -inf slot that index -1 (u in [-1, 0)) reads
-        self._node = np.append(_log_values(f), _NEG)
+        self._node = np.append(logv, _NEG)
         self.logv = self._node[:n]
         y0, y1 = self.logv[:-1], self.logv[1:]
         both = np.isfinite(y0) & np.isfinite(y1)
@@ -202,6 +207,23 @@ class _LogInterp:
         if lin.any():
             val[lin] = self.linear(q[lin])
         return val
+
+
+def _log_interp(f: GridFunction) -> _LogInterp:
+    return _LogInterp(f.x0, f.dx, _log_values(f))
+
+
+def _log_hull(li: _LogInterp) -> _LogInterp:
+    """The least concave majorant of li's log values between its first and
+    last finite node (zero cells between them bridged, -inf outside), on li's
+    grid and never below a log value: built in the log domain, it takes the
+    larger of the interpolated chain and the node's own value."""
+    finite = np.nonzero(np.isfinite(li.logv))[0]
+    a, b = finite[0], finite[-1] + 1
+    logv = li.logv[a:b]
+    hull = np.full(li.n, _NEG)
+    hull[a:b] = np.maximum(concave_majorant(li.x0 + li.dx * np.arange(a, b), logv)[0], logv)
+    return _LogInterp(li.x0, li.dx, hull)
 
 
 @dataclass(frozen=True)
@@ -482,66 +504,153 @@ def _range_max_table(v: np.ndarray) -> np.ndarray:
     return table
 
 
+def _scan_values(t, xs, logv, li, zz, j):
+    """t*logv[j] + (1-t)*li.linear((zz - t*xs[j])/(1-t)), elementwise."""
+    return t * logv[j] + (1.0 - t) * li.linear((zz - t * xs[j]) / (1.0 - t))
+
+
+def _hull_interval(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray, xs, logf):
+    """Per output cell, the attained value lb0 and the first and last of the
+    finite f-nodes xs (log values logf) that the hull certificate of
+    ``_block_scan_max`` keeps: every node where lb0 = -inf."""
+    hf, hg = _log_hull(lf), _log_hull(lg)
+    hull_f = hf.logv[np.isfinite(lf.logv)]
+    last = xs.size - 1
+    # lb0: the better of the two finite nodes beside the hull maximizer
+    beside = np.searchsorted(xs, _merge_max(hf, hg, t, z)[0])
+    pair = np.stack([np.maximum(beside - 1, 0), np.minimum(beside, last)], axis=1)
+    v = _scan_values(t, xs, logf, lg, z[:, None], pair)
+    side = np.argmax(v, axis=1)
+    j0 = pair[np.arange(z.size), side]
+    lb0 = v[np.arange(z.size), side]
+    jl = np.zeros(z.size, dtype=np.intp)
+    jr = np.full(z.size, last, dtype=np.intp)
+    rows = np.nonzero(lb0 > _NEG)[0]
+    steepest = np.max(np.abs(np.diff(hg.logv[np.isfinite(hg.logv)])), initial=0.0)
+    lip = (steepest * 4.0 * np.finfo(float).eps
+           * ((np.abs(z[rows]) + np.max(np.abs(xs))) / lg.dx + 2.0 * lg.n))
+    slack = 1e-12 * (1.0 + np.abs(lb0[rows])) + 2.0 * lip
+
+    def bisect(inner, outer):
+        # the node next to `outer` (a virtual node, -1 or last + 1) that the
+        # hull keeps, given that it keeps `inner`
+        inner, outer = inner.copy(), outer.copy()
+        while True:
+            act = np.nonzero(np.abs(outer - inner) > 1)[0]
+            if act.size == 0:
+                return inner
+            mid = (inner[act] + outer[act]) // 2
+            g = _scan_values(t, xs, hull_f, hg, z[rows[act]], mid)
+            keep = g + slack[act] >= lb0[rows[act]]
+            inner[act] = np.where(keep, mid, inner[act])
+            outer[act] = np.where(keep, outer[act], mid)
+
+    jl[rows] = bisect(j0[rows], np.full(rows.size, -1))
+    jr[rows] = bisect(j0[rows], np.full(rows.size, last + 1))
+    return lb0, jl, jr
+
+
 def _block_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
-    """Max over the finite f-grid nodes x of t*log f(x) + (1-t)*log g(y(z, x)).
+    """Max over the finite f-grid nodes x_j of F(j) = t*log f(x_j) +
+    (1-t)*log g(y_j), y_j = (z - t*x_j)/(1-t).
 
     Returns, per output cell, the first maximizing node and its value (the
     first node and -inf where no node is feasible), bit for bit what a scan
-    of every node returns.  The nodes are split into blocks of _SCAN_BLOCK.
-    Since y = (z - t*x)/(1-t) is monotone in x even in floating point, a
-    block reaches only the g-cells between the fractional g-indices of its
-    two end nodes, and t*max log f + (1-t)*max log g over those cells bounds
-    it from above (-inf when both ends lie on one side of the g-grid).  Each
-    row evaluates the block with the highest bound, then every block whose
-    bound reaches that value within 1e-12*(1 + |value|).  Log values lie in
-    [log 1e-300, log DBL_MAX], within 710 of zero, so the round-off of the
-    interpolation stays below 1e-12 and every skipped node is strictly below
-    a value some node attains: the first maximizer is always evaluated.
+    of every node returns: every node left out lies strictly below a value
+    some node attains, so the first maximizer is always evaluated.  Two
+    certificates leave nodes out.
+
+    The hull certificate.  With phi and psi the least concave majorants of
+    log f and log g (``_log_hull``), G(j) = t*phi(x_j) + (1-t)*psi(y_j), read
+    through the operations that read F(j), is at least F(j) up to round-off,
+    is -inf only where F(j) is (psi is -inf exactly where the fractional
+    g-index u_j lies outside [a, b], g's first and last finite node), and is
+    concave in x.  ``_merge_max`` on the two hulls gives each cell's maximizer
+    x* of G; F at the finite nodes either side of x* gives an attained value
+    lb0 at a node j0.  A bisection on each side of j0 finds the outermost
+    nodes with G + slack >= lb0, and every node beyond lies below lb0.  Let m
+    be the last node the bisection rejects.  The computed u_j falls as j
+    rises even in floating point, so if G(m) = -inf, u_m lies on the far side
+    of [a, b] from u_{j0} (F(j0) = lb0 is finite) and F is -inf at every node
+    beyond m.  Otherwise extend psi past [a, b] by its end slopes: it stays
+    concave and L-Lipschitz in u, L the steepest hull step, so G taken at the
+    exact u, affine in x, is concave, and the computed G differs from it by
+    the round-off of the interpolation (below 1e-12*(1 + |lb0|), every log
+    value lying within 710 of zero; the hull chain is concave to the same
+    order) plus (1-t)*L times the error of the computed u, which
+    4*eps*((|z| + max|x|)/dx_g + 2*n_g)/(1-t) bounds.  A node j beyond m with
+    F(j) >= lb0 would put the exact G within that error of lb0 at j and at
+    j0, hence at m between them, and the computed G(m) would pass the test;
+    the slack is 1e-12*(1 + |lb0|) plus twice the Lipschitz term.  Rows where
+    lb0 = -inf (both nodes beside x* meet zero cells of g, as when x* sits in
+    zero cells of f that the hull bridges) keep every node.
+
+    The block certificate.  Cells whose interval of kept nodes fits in
+    _SCAN_BLOCK nodes evaluate it; wider ones, _SCAN_ROWS at a time, split
+    the nodes into blocks of _SCAN_BLOCK and bound each block that meets the
+    interval.  Since y is monotone in x, a block reaches only the g-cells
+    between the fractional g-indices of its two end nodes, and
+    t*max log f + (1-t)*max log g over those cells bounds it from above (-inf
+    when both ends lie on one side of the g-grid).  Each row evaluates the
+    block with the highest bound, then every block whose bound reaches the
+    larger of that block's maximum and lb0 within 1e-12*(1 + |value|), which
+    covers the interpolation round-off as above.
     """
     finite = np.isfinite(lf.logv)
     xs = (lf.x0 + lf.dx * np.arange(lf.n))[finite]
     logf = lf.logv[finite]
+    lb0, jl, jr = _hull_interval(lf, lg, t, z, xs, logf)
+    wide = jr - jl >= _SCAN_BLOCK
+
     starts = np.arange(0, xs.size, _SCAN_BLOCK)
     ends = np.minimum(starts + _SCAN_BLOCK, xs.size) - 1
     fmax = np.maximum.reduceat(logf, starts)
     gtable = _range_max_table(lg.logv)
     best_val = np.full(z.size, _NEG)
     best_x = np.full(z.size, xs[0])
-
-    def values(zz, j):
-        return t * logf[j] + (1.0 - t) * lg.linear((zz - t * xs[j]) / (1.0 - t))
-
     for start in range(0, z.size, _SCAN_ROWS):
-        zz = z[start : start + _SCAN_ROWS, None]
-        # fractional g-index at each block's ends, as lg.linear computes it
-        u_hi = ((zz - t * xs[starts]) / (1.0 - t) - lg.x0) / lg.dx
-        u_lo = ((zz - t * xs[ends]) / (1.0 - t) - lg.x0) / lg.dx
-        # g-nodes lg.linear reads between those ends, with one spare each side
-        a = np.clip(np.floor(u_lo) - 1, 0, lg.n - 1).astype(int)
-        b = np.clip(np.floor(u_hi) + 2, 0, lg.n - 1).astype(int)
-        k = np.frexp(b - a + 1.0)[1] - 1
-        gmax = np.maximum(gtable[k, a], gtable[k, b - (1 << k) + 1])
-        gmax[(u_hi < 0.0) | (u_lo > lg.n - 1)] = _NEG
-        ub = t * fmax + (1.0 - t) * gmax
-        top = np.argmax(ub, axis=1)
-        jj = np.minimum(starts[top, None] + np.arange(_SCAN_BLOCK), ends[top, None])
-        lb = np.max(values(zz, jj), axis=1, keepdims=True)
-        slack = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(lb), lb, 0.0)))
-        rr, bb = np.nonzero((ub > _NEG) & (ub + slack >= lb))
+        cut = slice(start, start + _SCAN_ROWS)
+        zc, lo, hi = z[cut], jl[cut], jr[cut]
+        # blocks that meet each row's interval
+        keep = (starts <= hi[:, None]) & (ends >= lo[:, None])
+        w = np.nonzero(wide[cut])[0]
+        if w.size:
+            zz = zc[w, None]
+            # fractional g-index at each block's ends, as lg.linear computes it
+            u_hi = ((zz - t * xs[starts]) / (1.0 - t) - lg.x0) / lg.dx
+            u_lo = ((zz - t * xs[ends]) / (1.0 - t) - lg.x0) / lg.dx
+            # g-nodes lg.linear reads between those ends, with one spare each side
+            a = np.clip(np.floor(u_lo) - 1, 0, lg.n - 1).astype(int)
+            b = np.clip(np.floor(u_hi) + 2, 0, lg.n - 1).astype(int)
+            k = np.frexp(b - a + 1.0)[1] - 1
+            gmax = np.maximum(gtable[k, a], gtable[k, b - (1 << k) + 1])
+            gmax[(u_hi < 0.0) | (u_lo > lg.n - 1) | ~keep[w]] = _NEG
+            ub = t * fmax + (1.0 - t) * gmax
+            top = np.argmax(ub, axis=1)[:, None]
+            jj = np.minimum(np.maximum(starts[top] + np.arange(_SCAN_BLOCK), lo[w, None]),
+                            np.minimum(ends[top], hi[w, None]))
+            lb = np.max(_scan_values(t, xs, logf, lg, zz, jj), axis=1, keepdims=True)
+            np.maximum(lb, lb0[cut][w, None], out=lb)
+            slack_w = 1e-12 * (1.0 + np.abs(np.where(np.isfinite(lb), lb, 0.0)))
+            keep[w] = (ub > _NEG) & (ub + slack_w >= lb)
+        rr, bb = np.nonzero(keep)
         if rr.size == 0:
             continue
-        lengths = ends[bb] - starts[bb] + 1
+        first_j = np.maximum(starts[bb], lo[rr])
+        lengths = np.minimum(ends[bb], hi[rr]) - first_j + 1
         offsets = np.cumsum(lengths) - lengths
-        j = np.repeat(starts[bb] - offsets, lengths) + np.arange(lengths.sum())
-        rows = np.repeat(rr, lengths)
-        vals = values(zz[rows, 0], j)
-        # segmented argmax over each row's evaluated nodes, first index on ties
-        present, first = np.unique(rows, return_index=True)
-        vmax = np.full(zz.size, _NEG)
+        j = np.repeat(first_j - offsets, lengths) + np.arange(lengths.sum())
+        row = np.repeat(rr, lengths)
+        vals = _scan_values(t, xs, logf, lg, zc[row], j)
+        # segmented argmax over each row's evaluated nodes (rows ascend),
+        # first index on ties
+        first = np.nonzero(np.diff(row, prepend=-1))[0]
+        present = row[first]
+        vmax = np.full(zc.size, _NEG)
         vmax[present] = np.maximum.reduceat(vals, first)
-        jbest = np.minimum.reduceat(np.where(vals == vmax[rows], j, xs.size), first)
+        jbest = np.minimum.reduceat(np.where(vals == vmax[row], j, xs.size), first)
         hit = vmax[present] > _NEG
-        best_val[start : start + zz.size] = vmax
+        best_val[cut] = vmax
         best_x[start + present[hit]] = xs[jbest[hit]]
     return best_x, best_val
 
@@ -574,8 +683,8 @@ def sup_convolution(f: GridFunction, g: GridFunction, t: float) -> SupConvResult
     n = max(n, 2)
     z = lo + dxh * np.arange(n)
 
-    lf = _LogInterp(f)
-    lg = _LogInterp(g)
+    lf = _log_interp(f)
+    lg = _log_interp(g)
 
     # feasible x window per output cell: x in supp f and (z - t x)/(1-t) in supp g;
     # a window is empty only beyond the rounding of its ends (4 ulps), so the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,23 @@ def test_mass_indicator():
     xs = dx / 2 + dx * np.arange(1000)
     f = GridFunction(dx / 2, dx, np.ones_like(xs))
     assert mass(f) == pytest.approx(1.0, abs=dx)
+
+
+@given(st.lists(st.one_of(st.floats(0.0, 1e3),
+                          st.floats(0.0, 2.2250738585072014e-308),
+                          st.sampled_from([5e-324, 1e-310, 1e300])),
+                min_size=2, max_size=200),
+       st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_mass_is_correctly_rounded_sum(vals, rng):
+    # subnormals and large values side by side; fsum over the array and over
+    # any permutation of it gives the same double
+    values = np.asarray(vals)
+    f = GridFunction(0.0, 0.3, values)
+    assert mass(f) == 0.3 * math.fsum(values)
+    shuffled = list(vals)
+    rng.shuffle(shuffled)
+    assert mass(GridFunction(0.0, 0.3, shuffled)) == mass(f)
 
 
 def test_mass_gaussian(gauss_pi):

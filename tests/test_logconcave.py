@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plstab import (
     DomainError,
@@ -19,6 +21,7 @@ from plstab import (
     sup_convolution,
 )
 from plstab.densities import exponential, gaussian, uniform
+from plstab.logconcave import _upper_concave_majorant
 from plstab.stability import random_log_concave, random_log_concave_pair
 from plstab.transport import cdf
 
@@ -121,6 +124,28 @@ def test_hull_knots_touch():
 
 # ---------------------------------------------------------------------------
 # level cuts
+
+
+def cross(x, y, a, b, c):
+    """(b - a) x (c - a): positive when point b lies below the chord a-c."""
+    return (x[b] - x[a]) * (y[c] - y[a]) - (y[b] - y[a]) * (x[c] - x[a])
+
+
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(-1000, 1000)), min_size=1, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_upper_concave_majorant_chain(steps):
+    # integer coordinates keep every cross product exact: collinear runs and
+    # ties are decided without round-off
+    x = np.cumsum([dx for dx, _ in steps]).astype(float)
+    y = np.array([v for _, v in steps], dtype=float)
+    keep = _upper_concave_majorant(x, y).tolist()
+    assert keep[0] == 0 and keep[-1] == x.size - 1 and keep == sorted(set(keep))
+    for a, b in zip(keep, keep[1:]):
+        # every point lies on or below the chain
+        assert all(cross(x, y, a, i, b) >= 0 for i in range(a + 1, b))
+    for a, b, c in zip(keep, keep[1:], keep[2:]):
+        # every interior kept point lies strictly above the chord of its neighbours
+        assert cross(x, y, a, b, c) < 0
 
 
 def test_level_cut_zero_is_identity(gauss_pi):

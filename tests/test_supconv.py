@@ -31,6 +31,8 @@ from plstab.stability import (
 from plstab.supconv import (
     _LogInterp,
     _block_scan_max,
+    _log_hull,
+    _log_interp,
     _log_values,
     _merge_max,
     _support_nodes,
@@ -150,11 +152,11 @@ class ReferenceLogInterp:
     """Reference for _LogInterp: masks and selections rebuilt on every call.
     For n = 2 its quadratic reads logv[-1] (index k - 1 with k = 0)."""
 
-    def __init__(self, f):
-        self.x0 = f.x0
-        self.dx = f.dx
-        self.logv = _log_values(f)
-        self.n = f.n
+    def __init__(self, x0, dx, logv):
+        self.x0 = x0
+        self.dx = dx
+        self.logv = logv
+        self.n = logv.size
 
     def linear(self, q):
         u = (q - self.x0) / self.dx
@@ -186,6 +188,10 @@ class ReferenceLogInterp:
         quad = y0s + 0.5 * s * (yps - yms) + 0.5 * s * s * (yps - 2.0 * y0s + yms)
         lin = self.linear(q)
         return np.where(inside & ok, quad, lin)
+
+
+def reference_interp(f):
+    return ReferenceLogInterp(f.x0, f.dx, _log_values(f))
 
 
 def assert_bits_equal(a, b):
@@ -224,7 +230,7 @@ def interp_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_log_interp_matches_reference(case):
     f, q = case
-    interp, ref = _LogInterp(f), ReferenceLogInterp(f)
+    interp, ref = _log_interp(f), reference_interp(f)
     assert_bits_equal(interp.linear(q), ref.linear(q))
     assert_bits_equal(interp.quadratic(q), ref.quadratic(q))
 
@@ -233,7 +239,7 @@ def test_log_interp_node_hits_beside_zero_cells():
     # finite nodes next to zero cells keep their value only when hit exactly,
     # including the last node u = n - 1
     f = GridFunction(0.0, 1.0, [0.0, 2.0, 0.0, 3.0, 1.0, 0.0, 5.0])
-    interp, ref = _LogInterp(f), ReferenceLogInterp(f)
+    interp, ref = _log_interp(f), reference_interp(f)
     q = np.array([[1.0, 3.0, 6.0, 1.5], [-1.0, 7.0, 3.25, 0.0]])
     expected = np.array([[math.log(2.0), math.log(3.0), math.log(5.0), -np.inf],
                          [-np.inf, -np.inf, 0.75 * math.log(3.0), -np.inf]])
@@ -246,7 +252,7 @@ def test_log_interp_two_cells_quadratic_is_linear():
     # log-linear data on two cells: there is no three-node stencil, so the
     # quadratic must not read past the grid and equals the linear value
     f = GridFunction(0.0, 1.0, [1.0, math.exp(-3.0)])
-    interp = _LogInterp(f)
+    interp = _log_interp(f)
     q = np.array([0.0, 0.25, 0.5, 1.0])
     assert interp.quadratic(np.array([0.25]))[0] == pytest.approx(-0.75, abs=1e-15)
     assert_bits_equal(interp.quadratic(q), interp.linear(q))
@@ -332,7 +338,7 @@ def scan_cases(draw):
     g = scan_density(rng, draw(st.sampled_from(kinds)), float(rng.uniform(-6.0, 2.0)), dx * ratio,
                      draw(st.integers(40, 500)))
     t = draw(st.floats(0.05, 0.95))
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     lo = t * f.x0 + (1.0 - t) * g.x0
     hi = t * (f.x0 + (f.n - 1) * f.dx) + (1.0 - t) * (g.x0 + (g.n - 1) * g.dx)
     dz = min(f.dx, g.dx)
@@ -357,7 +363,7 @@ def test_block_scan_ties_and_empty_rows():
     xs = dx * np.arange(400)
     f = GridFunction(0.0, dx, np.where((xs > 3.0) & (xs < 15.0), 0.5, 0.0))
     g = GridFunction(0.0, dx, np.where((xs < 0.2) | (xs > 19.7), 1.0, 0.0))
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     t = 0.9
     z = dx * np.arange(-5, 405)
     x_ref, v_ref = flat_grid_scan_max(lf, lg, t, z)
@@ -376,7 +382,7 @@ def test_block_scan_evaluates_few_pairs(monkeypatch):
                      + 0.6 * np.exp(-0.5 * ((xs - 1.6) / 0.8) ** 2))
     g = GridFunction(-10.0, dx, 0.55 * np.exp(-0.5 * ((xs + 1.5) / 0.7) ** 2)
                      + 0.45 * np.exp(-0.5 * ((xs - 2.3) / 0.55) ** 2))
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     t = 0.35
     evaluated = []
     linear = _LogInterp.linear
@@ -387,7 +393,75 @@ def test_block_scan_evaluates_few_pairs(monkeypatch):
 
     monkeypatch.setattr(_LogInterp, "linear", counting)
     _block_scan_max(lf, lg, t, xs)
-    assert sum(evaluated) < 0.1 * n * n
+    # every element counts, the hull certificate's bisection included
+    assert sum(evaluated) < 0.03 * n * n
+
+
+def recorded_scan(monkeypatch, lf, lg, t, z):
+    """_block_scan_max, checked bit for bit against the flat scan, and the
+    (lb0, jl, jr) its hull certificate returned."""
+    seen = []
+    hull_interval = plstab.supconv._hull_interval
+
+    def recording(*args):
+        seen.append(hull_interval(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(plstab.supconv, "_hull_interval", recording)
+    x, v = _block_scan_max(lf, lg, t, z)
+    x_ref, v_ref = flat_grid_scan_max(lf, lg, t, z)
+    assert_bits_equal(x, x_ref)
+    assert_bits_equal(v, v_ref)
+    return seen[0]
+
+
+def test_block_scan_hull_maximizer_on_zero_cells(monkeypatch):
+    # f and g are two narrow runs each, far apart: the hulls bridge the zero
+    # cells between them, so the hull maximizer of middle cells sits on a
+    # zero cell of f, and both finite nodes beside it map into g's gap
+    dx = 0.05
+    xs = dx * np.arange(200)
+    runs = (np.abs(xs - 2.0) < 0.3) | (np.abs(xs - 8.0) < 0.3)
+    f = GridFunction(0.0, dx, np.where(runs, np.exp(-np.abs(xs - 5.0)), 0.0))
+    g = GridFunction(0.0, dx, np.where(runs, np.exp(-0.3 * np.abs(xs - 4.0)), 0.0))
+    lf, lg = _log_interp(f), _log_interp(g)
+    t = 0.5
+    z = dx * np.arange(-5, 205)
+    lb0, jl, jr = recorded_scan(monkeypatch, lf, lg, t, z)
+    xstar = _merge_max(_log_hull(lf), _log_hull(lg), t, z)[0]
+    on_zero = ~runs[np.clip(np.rint(xstar / dx).astype(int), 0, 199)]
+    blind = np.isneginf(lb0)
+    assert np.any(blind & on_zero)
+    assert np.all(jl[blind] == 0) and np.all(jr[blind] == np.sum(runs) - 1)
+
+
+def test_block_scan_runs_narrow_and_wide_rows(monkeypatch):
+    # seeded noise makes the hull loose: some intervals hold more than one
+    # block of nodes and take the block bounds, the rest are scanned directly
+    rng = np.random.default_rng(5)
+    f = scan_density(rng, "noisy", -4.0, 0.01, 900)
+    g = scan_density(rng, "bimodal", -3.0, 0.013, 700)
+    lf, lg = _log_interp(f), _log_interp(g)
+    t = 0.4
+    z = np.linspace(-4.0, 5.0, 1000)
+    lb0, jl, jr = recorded_scan(monkeypatch, lf, lg, t, z)
+    width = jr - jl + 1
+    finite = np.isfinite(lb0)
+    assert np.any(finite & (width > plstab.supconv._SCAN_BLOCK))
+    assert np.any(finite & (width <= plstab.supconv._SCAN_BLOCK))
+
+
+def test_block_scan_mixture_at_small_t(monkeypatch):
+    # the Gaussian mixture at +-1.2 (not log-concave) against itself at
+    # t = 0.01, below the t of scan_cases
+    n = 2048
+    xs = np.linspace(-10.0, 10.0, n)
+    f = GridFunction(-10.0, 20.0 / (n - 1),
+                     0.5 * np.exp(-0.5 * (xs - 1.2) ** 2) + 0.5 * np.exp(-0.5 * (xs + 1.2) ** 2))
+    lf = _log_interp(f)
+    t = 0.01
+    z = -10.0 + f.dx * np.arange(n)
+    recorded_scan(monkeypatch, lf, lf, t, z)
 
 
 def test_sup_convolution_grid_scan_matches_flat_scan(monkeypatch):
@@ -480,7 +554,7 @@ def merge_cases(draw):
     g = concave_density(rng, draw(st.sampled_from(kinds)), float(rng.normal(0.0, 3.0)),
                         dx * ratio, draw(st.integers(3, 120)))
     t = draw(st.one_of(st.sampled_from([0.001, 0.5, 0.999]), st.floats(0.001, 0.999)))
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     xf, _ = _support_nodes(lf)
     xg, _ = _support_nodes(lg)
     lo = t * xf[0] + (1.0 - t) * xg[0]
@@ -521,7 +595,7 @@ def test_merge_equal_slopes_inverted_by_round_off():
     # to round-off, which also inverts consecutive slopes within each list
     f = exponential(1.5, -1.0, 9.0, 2001)
     g = exponential(1.5, -2.0, 8.0, 1601)
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     xf, yf = _support_nodes(lf)
     xg, _ = _support_nodes(lg)
     assert np.any(np.diff(np.diff(yf)) > 0.0)
@@ -645,10 +719,10 @@ def stage2_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_stage2_stacked_probes_match_two_call_loop(case):
     f, g, t, z, lo, hi = case
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     # the reference interpolates with ReferenceLogInterp where it applies (it
     # reads logv[-1] on two nodes, where _LogInterp stands in)
-    rf, rg = (ReferenceLogInterp(d) if d.n >= 3 else _LogInterp(d) for d in (f, g))
+    rf, rg = (reference_interp(d) if d.n >= 3 else _log_interp(d) for d in (f, g))
 
     def objective(zz, x):
         # the direct objective of sup_convolution's ternary search
@@ -675,7 +749,7 @@ def ternary_stage2(f, g, t):
     """Stage 2 as it ran before the piecewise enumeration, in place of
     ``_exact_max``: 45 ternary steps over each window, one objective call per
     probe through ReferenceLogInterp (``_LogInterp`` on two nodes)."""
-    rf, rg = (ReferenceLogInterp(d) if d.n >= 3 else _LogInterp(d) for d in (f, g))
+    rf, rg = (reference_interp(d) if d.n >= 3 else _log_interp(d) for d in (f, g))
 
     def objective(zz, x):
         return t * rf.quadratic(x) + (1.0 - t) * rg.quadratic((zz - t * x) / (1.0 - t))
@@ -718,7 +792,7 @@ def scan_stage2_model(f, g, t, z, lo, hi, points=2000):
     is an isolated point (its linear cells are -inf inside), which no piece
     holds; an even count keeps the scan off the window's ends and centre,
     the stage-1 point, which is often such a node."""
-    lf, lg = _LogInterp(f), _LogInterp(g)
+    lf, lg = _log_interp(f), _log_interp(g)
     hi = np.maximum(lo, hi)
     frac = (np.arange(points) + 0.5) / points
     best = np.empty(z.size)
