@@ -59,13 +59,18 @@ RUNS = [
     # seeded noise and interior zero cells: the hull certificate of the grid
     # scan is loose here, so many cells take its wide path
     ("deficit_noisy_csv", ["deficit", "--config", "deficit_noisy.json"]),
+    # f on 768 nodes and g on 1024: stage 2 with dx_f/dx_g = 1.334, and the
+    # L1 distances between unequally spaced grids
+    ("deficit_unequal_csv", ["deficit", "--config", "deficit_unequal.json"]),
+    ("stability_unequal_csv", ["stability", "--config", "stability_unequal.json"]),
 ]
 
 
-def bimodal(center: float, sep: float, s1: float, s2: float, w: float) -> GridFunction:
-    dx = (CSV_HI - CSV_LO) / (CSV_N - 1)
-    xs = CSV_LO + dx * np.arange(CSV_N)
-    vals = np.zeros(CSV_N)
+def bimodal(center: float, sep: float, s1: float, s2: float, w: float,
+            n: int = CSV_N) -> GridFunction:
+    dx = (CSV_HI - CSV_LO) / (n - 1)
+    xs = CSV_LO + dx * np.arange(n)
+    vals = np.zeros(n)
     for weight, mu, sigma in ((w, center - sep / 2, s1), (1.0 - w, center + sep / 2, s2)):
         vals += weight * np.exp(-0.5 * ((xs - mu) / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
     return GridFunction(CSV_LO, dx, vals)
@@ -99,6 +104,9 @@ def write_inputs() -> None:
     for command in ("deficit", "stability", "hypograph"):
         write_config(command, command, "f.csv", "g.csv")
     write_config("deficit_noisy", "deficit", "f_noisy.csv", "g_noisy.csv")
+    to_csv(bimodal(-0.3, 3.4, 0.6, 0.8, 0.45, n=768), "f_768.csv")
+    for command in ("deficit", "stability"):
+        write_config(f"{command}_unequal", command, "f_768.csv", "g.csv")
 
 
 def main() -> int:

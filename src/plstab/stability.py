@@ -480,8 +480,6 @@ class CounterexampleConfig:
     t: float
     grid_n: int = 4096
     phi_id: str = "odd_poly"
-    lo: float = -4.0
-    hi: float = 4.0
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -521,16 +519,17 @@ def counterexample_family(cfg: CounterexampleConfig) -> CounterexampleResult:
     distance between g and f.
     """
     n = cfg.grid_n
-    dx = (cfg.hi - cfg.lo) / (n - 1)
-    xs = cfg.lo + dx * np.arange(n)
+    lo, hi = -4.0, 4.0
+    dx = (hi - lo) / (n - 1)
+    xs = lo + dx * np.arange(n)
     fvals = np.exp(-math.pi * xs ** 2)
     inside = np.abs(xs) < 1.0
     phi = np.zeros(n)
     phi[inside] = xs[inside] * (1.0 - xs[inside] ** 2) ** 3
     phi /= _odd_bump_peak()
     gvals = (1.0 + cfg.delta * phi) * fvals
-    f = normalize(GridFunction(cfg.lo, dx, fvals))
-    g = normalize(GridFunction(cfg.lo, dx, gvals))
+    f = normalize(GridFunction(lo, dx, fvals))
+    g = normalize(GridFunction(lo, dx, gvals))
     ok, idx = is_log_concave(g)
     if not ok:
         raise PreconditionError(f"perturbed density lost log-concavity at cell {idx}")
@@ -687,10 +686,10 @@ def full_deficit_report(f: GridFunction, g: GridFunction, lam: float) -> Deficit
     tau = min(lam, 1.0 - lam)
     h = sup_convolution(fn, gn, lam).h
     eps = pl_deficit(h, fn, gn, lam)
-    m = monotone_transport(fn, gn)
     eta = math.sqrt(max(eps, 1e-12))
     level = min(max(8.0 * eps, 1e-6), 0.49)
-    # transport_deficit(fn, gn, .) normalizes once more; its map serves both deficits
+    # transport_deficit(fn, gn, .) normalizes once more; its map serves both
+    # deficits and the bad set
     fnn = normalize(fn)
     m2 = monotone_transport(fnn, normalize(gn))
     return DeficitReport(
@@ -699,6 +698,6 @@ def full_deficit_report(f: GridFunction, g: GridFunction, lam: float) -> Deficit
         epsilon=eps,
         transport_deficit=_map_deficit(fnn, m2, lam),
         midpoint_deficit=_map_deficit(fnn, m2, 0.5),
-        bad_set_measure=bad_set_measure(fn, m, eta=eta),
+        bad_set_measure=bad_set_measure(fn, m2, eta=eta),
         tail_cut=tail_cut_points(fn, level),
     )

@@ -36,12 +36,8 @@ breakpoints, rho the larger of t*dx_f/((1-t)*dx_g) and its inverse (12 at
 t = 1/2 on equal grids); calls with more than ``_EXACT_MAX_BREAKPOINTS``
 keep the bracketed ternary search, which is cheaper there (its 45 steps cost
 the same at any t, the enumeration grows with rho).  Each step evaluates both
-probes in one call of the direct objective.
-Both interpolants read tables built once per density (per cell a base value
-and a step, per node the first and second differences and whether the
-three-point stencil is finite); every table entry is a difference the direct
-formula computes, in the same order, so the values are bit for bit those of
-evaluating the formula per query.
+probes in one call of the direct objective.  Both paths evaluate the model
+through ``_LogInterp.piece``, ``value`` and ``slopes``.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ from .grids import (
 from .logconcave import concave_majorant, is_log_concave
 from .transport import monotone_transport
 
-DEFAULT_MAX_CELLS = 8192
+DEFAULT_MAX_CELLS = 8192  # fixed; the name stays because perfbench/layers.py reads it
 _NEG = -np.inf
 _SCAN_BLOCK = 32  # f-nodes per bounded block of the grid scan
 _SCAN_ROWS = 256  # output cells per vectorized chunk of the grid scan
@@ -99,6 +95,10 @@ class _LogInterp:
     element goes through the IEEE operations of the direct formulas in the
     same order, with the differences computed once, so the results are bit
     for bit those of evaluating the formulas per query.
+
+    ``piece`` names the piece of the three-point model that holds a
+    fractional index; ``value`` and ``slopes`` evaluate a piece and its
+    derivatives at any index, and ``quadratic`` each query on its own piece.
     """
 
     def __init__(self, x0: float, dx: float, logv: np.ndarray):
@@ -123,9 +123,14 @@ class _LogInterp:
         self._d2 = np.zeros(n)
         self._d2[1:-1][ok] = yp[ok] - 2.0 * yc[ok] + ym[ok]
 
-    def linear(self, q: np.ndarray) -> np.ndarray:
+    def index(self, q: np.ndarray) -> np.ndarray:
+        """The fractional index (q - x0)/dx of the points q."""
         u = np.subtract(q, self.x0)
         u /= self.dx
+        return u
+
+    def linear(self, q: np.ndarray) -> np.ndarray:
+        u = self.index(q)
         kf, k = self.cell(u)
         return self.two_point(np.subtract(u, kf, out=u), k)
 
@@ -148,65 +153,56 @@ class _LogInterp:
             val[node] = self._node[k[node]]
         return val
 
-    def stencil(self, u, kf, k, lin, bad) -> None:
-        """The three-point stencil of fractional indices u: its centre node
-        rint(u) clipped to [1, n-2], as a float into kf and as an index into
-        k, and into lin whether the linear fallback applies instead (u off the
-        grid or a stencil value not finite); bad is scratch."""
-        np.rint(u, out=kf)
+    def piece(self, u: np.ndarray):
+        """The piece of the three-point model that holds the fractional
+        indices u: its stencil centre rint(u) clipped to [1, n-2], or, where
+        lin is set (u off the grid or a stencil value not finite), the linear
+        cell of ``cell``.  Returns (k, lin)."""
+        kf = np.rint(u)
         np.maximum(kf, 1.0, out=kf)
         np.minimum(kf, self.n - 2, out=kf)
-        np.copyto(k, kf, casting="unsafe")
-        np.less(u, 0.0, out=lin)
-        np.greater(u, self.n - 1, out=bad)
-        lin |= bad
-        self._no_stencil.take(k, out=bad, mode="wrap")
-        lin |= bad
+        k = kf.astype(np.intp)
+        lin = self._no_stencil.take(k, mode="wrap")
+        lin |= u < 0.0
+        lin |= u > self.n - 1
+        if lin.any():
+            k[lin] = self.cell(u[lin])[1]
+        return k, lin
 
-    def three_point(self, s, k, out, h, tmp) -> np.ndarray:
-        """The three-point formula logv[k] + h*D1[k] + h*s*D2[k], h = s/2, at
-        offsets s from the stencil centres k, into out (h and tmp are
-        scratch).  D1 = D2 = 0 where the stencil is not finite: no inf - inf,
-        and those elements take the linear value instead."""
-        np.multiply(s, 0.5, out=h)
-        self.logv.take(k, out=out, mode="wrap")
-        self._d1.take(k, out=tmp, mode="wrap")
-        tmp *= h
-        out += tmp
+    def value(self, u: np.ndarray, k: np.ndarray, lin: np.ndarray) -> np.ndarray:
+        """The model at fractional indices u on the pieces (k, lin) of
+        ``piece``: logv[k] + h*D1[k] + h*s*D2[k], h = s/2, at offsets s = u - k
+        from the stencil centres, or the linear value on the cells where lin
+        is set.  D1 = D2 = 0 where the stencil is not finite: no inf - inf."""
+        s = u - k
+        h = s * 0.5
+        val = self._d1.take(k, mode="wrap")
+        val *= h
+        val += self.logv.take(k, mode="wrap")
         h *= s
-        self._d2.take(k, out=tmp, mode="wrap")
-        tmp *= h
-        out += tmp
-        return out
+        h *= self._d2.take(k, mode="wrap")
+        val += h
+        if lin.any():
+            val[lin] = self.two_point(s[lin], k[lin])
+        return val
 
-    def slopes(self, s, k, lin, kl, d2, tmp) -> None:
-        """The first and second derivatives in u, at offsets s, of the pieces
-        of the model whose stencil centres are k: D1/2 + s*D2 into s and D2
-        into d2 from the three-point tables, or step and 0 on the linear cells
-        kl where lin is set (kl holds one cell per set element of lin); tmp
-        is scratch."""
-        self._d2.take(k, out=d2, mode="wrap")
-        s *= d2
-        self._d1.take(k, out=tmp, mode="wrap")
-        tmp *= 0.5
-        s += tmp
-        if kl.size:
-            s[lin] = self._step.take(kl, mode="wrap")
+    def slopes(self, u: np.ndarray, k: np.ndarray, lin: np.ndarray):
+        """The model's first and second derivatives in u on the pieces (k, lin)
+        of ``piece``: D1/2 + s*D2 and D2 at offsets s = u - k, or step and 0 on
+        the linear cells."""
+        d2 = self._d2.take(k, mode="wrap")
+        d1 = u - k
+        d1 *= d2
+        d1 += 0.5 * self._d1.take(k, mode="wrap")
+        if lin.any():
+            d1[lin] = self._step.take(k[lin], mode="wrap")
             d2[lin] = 0.0
+        return d1, d2
 
     def quadratic(self, q: np.ndarray) -> np.ndarray:
         """Three-point Lagrange interpolation; falls back to linear near zeros."""
-        u, kf, tmp, val = (np.empty(q.shape) for _ in range(4))
-        k = np.empty(q.shape, dtype=np.intp)
-        lin, bad = (np.empty(q.shape, dtype=bool) for _ in range(2))
-        np.subtract(q, self.x0, out=u)
-        u /= self.dx
-        self.stencil(u, kf, k, lin, bad)
-        s = np.subtract(u, kf, out=u)
-        self.three_point(s, k, val, kf, tmp)
-        if lin.any():
-            val[lin] = self.linear(q[lin])
-        return val
+        u = self.index(q)
+        return self.value(u, *self.piece(u))
 
 
 def _log_interp(f: GridFunction) -> _LogInterp:
@@ -350,13 +346,12 @@ def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
     of g in y) every stencil is fixed, so the model is one quadratic in x.
     Each piece contributes one candidate: the vertex clipped to the piece
     where it is concave, else the end its midpoint slope points to.  The
-    candidate is evaluated with the stencils taken at the piece's midpoint
-    (the one-sided limit at a piece end; the model jumps there by
-    t*D3/8), through the same formulas as ``quadratic``.
+    candidate is evaluated on the pieces ``_LogInterp.piece`` gives at the
+    midpoint (the one-sided limit at a piece end; the model jumps there by
+    t*D3/8), through the ``value`` that ``quadratic`` runs.
 
     Rows hold each window's breakpoints, padded with its ends and sorted;
-    they are processed in chunks of about max(n, 2**13) elements, over one
-    workspace of eight such arrays (and five of bools).
+    they are processed in chunks of about max(n, 2**13) elements.
     """
     xs = np.empty(z.size)
     vs = np.empty(z.size)
@@ -377,118 +372,55 @@ def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
                  - 1.0, 0.0))
     cols = nf + ng + 2
     rows = max(1, max(z.size, 1 << 13) // cols)
-    reals = np.empty((6, rows * cols))
-    ints = np.empty((2, rows * (cols - 1)), dtype=np.intp)
-    masks = np.empty((5, rows * (cols - 1)), dtype=bool)
     up_f = np.arange(1.0, nf + 1.0)
     up_g = np.arange(1.0, ng + 1.0)
     c1 = lf.dx / lg.dx
     c2 = t * c1 * c1 / (1.0 - t)
     for start in range(0, z.size, rows):
         stop = min(start + rows, z.size)
-        m = stop - start
         zz = z[start:stop, None]
         aa, bb = a[start:stop, None], b[start:stop, None]
-        # v takes bp's buffer once the candidates are placed
-        bp = reals[0, : m * cols].reshape(m, cols)
-        v, x, s_f, s_g, d2_f, d2_g = (buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in reals)
-        k_f, k_g = (buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in ints)
-        lin_f, lin_g, bad, concave, rising = (
-            buf[: m * (cols - 1)].reshape(m, cols - 1) for buf in masks)
         # breakpoints, clipped into the window and sorted along each row
-        inner = bp[:, 1 : nf + 1]
-        np.add(np.floor(halves(lf, aa)), up_f, out=inner)
-        inner *= 0.5 * lf.dx
-        inner += lf.x0
-        inner = bp[:, nf + 1 : -1]
-        np.add(np.floor(halves(lg, y_of(zz, bb))), up_g, out=inner)
-        inner *= 0.5 * lg.dx
-        inner += lg.x0
-        inner *= 1.0 - t
-        np.subtract(zz, inner, out=inner)
-        inner /= t
-        inner = bp[:, 1:-1]
-        np.maximum(inner, aa, out=inner)
-        np.minimum(inner, bb, out=inner)
-        bp[:, 0] = aa[:, 0]
-        bp[:, -1] = bb[:, 0]
+        bp_f = np.floor(halves(lf, aa)) + up_f
+        bp_f *= 0.5 * lf.dx
+        bp_f += lf.x0
+        bp_g = np.floor(halves(lg, y_of(zz, bb))) + up_g
+        bp_g *= 0.5 * lg.dx
+        bp_g += lg.x0
+        bp_g *= 1.0 - t
+        bp = np.concatenate([aa, bp_f, (zz - bp_g) / t, bb], axis=1)
+        np.maximum(bp, aa, out=bp)
+        np.minimum(bp, bb, out=bp)
         bp.sort(axis=1)
         p_lo, p_hi = bp[:, :-1], bp[:, 1:]
-        # each piece's stencils at its midpoint x, and the model's slope and
-        # curvature there, in units of f's cells (x is scratch meanwhile)
-        np.add(p_lo, p_hi, out=x)
-        x *= 0.5
-        np.subtract(x, lf.x0, out=s_f)
-        s_f /= lf.dx
-        kl_f = _piece_stencil(lf, s_f, d2_f, k_f, lin_f, bad)
-        np.multiply(x, t, out=s_g)
-        np.subtract(zz, s_g, out=s_g)
-        s_g /= 1.0 - t
-        s_g -= lg.x0
-        s_g /= lg.dx
-        kl_g = _piece_stencil(lg, s_g, d2_g, k_g, lin_g, bad)
-        lf.slopes(s_f, k_f, lin_f, kl_f, d2_f, x)
-        lg.slopes(s_g, k_g, lin_g, kl_g, d2_g, x)
-        s_g *= c1
-        s_f -= s_g
-        d2_g *= c2
-        d2_f += d2_g
+        # each piece's stencils at its midpoint, and the model's slope and
+        # curvature there, in units of f's cells
+        mid = 0.5 * (p_lo + p_hi)
+        u_f = lf.index(mid)
+        u_g = lg.index(y_of(zz, mid))
+        piece_f = lf.piece(u_f)
+        piece_g = lg.piece(u_g)
+        d1_f, d2_f = lf.slopes(u_f, *piece_f)
+        d1_g, d2_g = lg.slopes(u_g, *piece_g)
+        slope = d1_f - c1 * d1_g
+        curv = d2_f + c2 * d2_g
         # the candidate: the clipped vertex of a concave piece, else the end
         # the slope rises to (the lower end on a flat slope)
-        np.less(d2_f, 0.0, out=concave)
-        np.greater(s_f, 0.0, out=rising)
-        np.divide(s_f, d2_f, out=s_f, where=concave)
-        np.logical_not(concave, out=concave)
-        np.copyto(s_f, np.inf, where=concave)
-        rising &= concave
-        np.copyto(s_f, -np.inf, where=rising)
-        s_f *= lf.dx
-        np.add(p_lo, p_hi, out=x)
-        x *= 0.5
-        x -= s_f
+        step = np.where(slope > 0.0, -np.inf, np.inf)
+        np.divide(slope, curv, out=step, where=curv < 0.0)
+        step *= lf.dx
+        x = np.subtract(mid, step, out=mid)
         np.maximum(x, p_lo, out=x)
         np.minimum(x, p_hi, out=x)
-        # the candidates' values under their pieces' stencils, formed as the
-        # stage-2 objective forms them
-        _piece_value(lf, x, k_f, lin_f, kl_f, d2_f, s_f, s_g, d2_g)
-        np.multiply(x, t, out=s_f)
-        np.subtract(zz, s_f, out=s_f)
-        s_f /= 1.0 - t
-        _piece_value(lg, s_f, k_g, lin_g, kl_g, v, s_g, d2_g, s_f)
-        d2_f *= t
-        v *= 1.0 - t
-        v += d2_f
+        # the candidates' values on their pieces, formed as the stage-2
+        # objective forms them
+        v = (t * lf.value(lf.index(x), *piece_f)
+             + (1.0 - t) * lg.value(lg.index(y_of(zz, x)), *piece_g))
         best = np.argmax(v, axis=1)
-        row = np.arange(m)
+        row = np.arange(stop - start)
         vs[start:stop] = v[row, best]
         xs[start:stop] = x[row, best]
     return xs, vs
-
-
-def _piece_stencil(li: _LogInterp, u, kf, k, lin, bad):
-    """The stencil of each piece from its midpoint's fractional index u: the
-    three-point centre, or the linear cell where lin is set, into k, and u
-    turned into the offset from it; kf and bad are scratch.  Returns the
-    linear cells, one per set element of lin."""
-    li.stencil(u, kf, k, lin, bad)
-    kl = np.empty(0, dtype=np.intp)
-    if lin.any():
-        kl = li.cell(u[lin])[1]
-        k[lin] = kl
-    u -= k
-    return kl
-
-
-def _piece_value(li: _LogInterp, q, k, lin, kl, out, h, tmp, s):
-    """The model at the points q under fixed stencils (``_piece_stencil``),
-    into out; h, tmp and s are scratch (s may be q)."""
-    np.subtract(q, li.x0, out=s)
-    s /= li.dx
-    s -= k
-    li.three_point(s, k, out, h, tmp)
-    if kl.size:
-        out[lin] = li.two_point(s[lin], kl)
-    return out
 
 
 def _range_max_table(v: np.ndarray) -> np.ndarray:

@@ -10,12 +10,14 @@ from plstab import (
     DomainError,
     GridFunction,
     aligned_l1_distance,
+    bad_set_measure,
     counterexample_family,
     exponent_fit,
     full_deficit_report,
     general_lambda_reduction,
     l1_distance,
     mass,
+    monotone_transport,
     normalize,
     pl_deficit,
     radial_counterexample_family,
@@ -478,6 +480,39 @@ def test_full_deficit_report_fields():
     assert rep.bad_set_measure >= 0.0
     x1, x2 = rep.tail_cut
     assert x1 < x2
+
+
+def seeded_bimodal(rng, n=1024):
+    xs = np.linspace(-8.0, 8.0, n)
+    mu, sigma, w = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.4, 1.2, 2), rng.uniform(0.2, 0.8)
+    vals = w * np.exp(-0.5 * ((xs - mu[0]) / sigma[0]) ** 2)
+    vals += (1.0 - w) * np.exp(-0.5 * ((xs - mu[1]) / sigma[1]) ** 2)
+    return GridFunction(-8.0, 16.0 / (n - 1), vals)
+
+
+def test_bad_set_measure_on_the_deficits_map():
+    # full_deficit_report reads the bad set off the map of the pair normalized
+    # twice, the one that gives both transport deficits; the map of the pair
+    # normalized once gives the same measure (T' moves by ulps between them,
+    # which counts only within an ulp of 0.1 or 10)
+    rng = np.random.default_rng(11)
+    pairs = [random_log_concave_pair(seed, n=1024) for seed in range(4)]
+    pairs += [(seeded_bimodal(rng), seeded_bimodal(rng)) for _ in range(4)]
+    # T' = 4/0.3 > 10 where f is large: a bad set at the report's own eta
+    pairs.append((gaussian(0.0, 0.3, -12.0, 12.0, 1024), gaussian(0.0, 4.0, -12.0, 12.0, 1024)))
+    nonzero = 0
+    for f, g in pairs:
+        fn, gn = normalize(f), normalize(g)
+        once = monotone_transport(fn, gn)
+        twice = monotone_transport(normalize(fn), normalize(gn))
+        rep = full_deficit_report(f, g, 0.3)
+        # 1e-6 is the report's smallest eta, sqrt(1e-12)
+        for eta in (1e-6, 1e-3, 0.05, math.sqrt(max(rep.epsilon, 1e-12))):
+            measure = bad_set_measure(fn, once, eta=eta)
+            assert bad_set_measure(fn, twice, eta=eta) == measure
+            nonzero += measure > 0.0
+        assert rep.bad_set_measure == measure
+    assert nonzero >= 4 and rep.bad_set_measure > 0.0
 
 
 # ---------------------------------------------------------------------------

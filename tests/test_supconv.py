@@ -258,6 +258,29 @@ def test_log_interp_two_cells_quadratic_is_linear():
     assert_bits_equal(interp.quadratic(q), interp.linear(q))
 
 
+@given(interp_cases())
+@settings(max_examples=300, deadline=None)
+def test_log_interp_slopes_are_the_model_derivatives(case):
+    # on the piece that holds each query the model is a quadratic in u (a
+    # line on linear cells), so central differences of value at u +- 1/8 on
+    # that piece give its slopes up to round-off
+    f, q = case
+    interp = _log_interp(f)
+    u = interp.index(q)
+    k, lin = interp.piece(u)
+    d1, d2 = interp.slopes(u, k, lin)
+    below, at, above = (interp.value(u + e, k, lin) for e in (-0.125, 0.0, 0.125))
+    assert_bits_equal(at, interp.quadratic(q))
+    with np.errstate(invalid="ignore"):
+        first = (above - below) / 0.25
+        second = (above - 2.0 * at + below) * 64.0
+    ok = np.isfinite(first) & np.isfinite(second)
+    logv = interp.logv[np.isfinite(interp.logv)]
+    tol = 1e-12 * (1.0 + np.max(np.abs(logv)))
+    assert np.all(np.abs(first - d1)[ok] <= tol)
+    assert np.all(np.abs(second - d2)[ok] <= tol)
+
+
 @pytest.mark.parametrize("kind", ["log_concave", "bimodal"])
 def test_sup_convolution_matches_reference_interp(monkeypatch, kind):
     if kind == "log_concave":
