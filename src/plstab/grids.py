@@ -11,8 +11,11 @@ wide enough that the boundary cells carry negligible mass.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,17 +81,52 @@ class GridFunction:
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.x0, self.dx, values)
 
+    @classmethod
+    def _validated(cls, x0: float, dx: float, values: np.ndarray) -> "GridFunction":
+        """A grid on values that already meet every check of ``__post_init__``
+        and are read-only, and a finite x0 and dx > 0: no scan, no copy."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "x0", float(x0))
+        object.__setattr__(self, "dx", float(dx))
+        object.__setattr__(self, "values", values)
+        return self
+
+    @cached_property
+    def _sum(self) -> float:
+        """The correctly rounded sum of the values (see ``mass``)."""
+        parts = []
+        for start in range(0, self.values.size, 1 << 25):  # keeps each bin's sum below 2**53
+            bits = self.values[start : start + (1 << 25)].view(np.int64)
+            expo = (bits >> 52) & 0x7FF  # the mask drops -0.0's sign bit
+            counts = np.bincount(expo)
+            hi = np.bincount(expo, weights=(bits >> 26) & 0x3FFFFFF)
+            hi[1:] += counts[1:] * float(1 << 26)  # the implicit bit of normal values
+            lo = np.bincount(expo, weights=bits & 0x3FFFFFF)
+            e = np.flatnonzero(counts)
+            scale = np.maximum(e, 1) - 1075  # subnormals (e = 0) scale like the smallest normals
+            with np.errstate(over="ignore"):  # an infinite part is caught below
+                parts += np.ldexp(hi[e], scale + 26).tolist() + np.ldexp(lo[e], scale).tolist()
+        total = math.fsum(parts)
+        if math.isinf(total):  # a part overflowed, so the sum does
+            raise OverflowError("intermediate overflow in fsum")
+        return total
+
 
 def mass(f: GridFunction) -> float:
-    """Rectangle-rule integral dx * sum(values).
+    """Rectangle-rule integral dx * sum(values), the sum correctly rounded.
 
-    Uses exact (correctly rounded) summation so the result is invariant under
-    any permutation of the values, which the rearrangement code relies on.
-    ``fsum`` reads the same doubles faster through a memoryview than through
-    the array's numpy scalars, and, unlike ``tolist()``, without holding a
-    Python float per cell at once.
+    Exact summation makes the result invariant under any permutation of the
+    values, which the rearrangement code relies on; it is the double that
+    ``math.fsum`` returns.  Each value is sig * 2**(e - 1075), read from its
+    bits (subnormals with e = 1), and sig < 2**53 splits into 27 high and 26
+    low bits.  ``np.bincount`` sums each half per exponent in doubles, and
+    every such sum over at most 2**25 values is an integer below 2**53, so it
+    is exact.  Each sum scaled by its power of two is one exact double, and
+    ``fsum`` rounds the at most 2 * 2047 of them per 2**25 values once.  The
+    sum is computed once per grid; a total that overflows raises
+    ``OverflowError`` as ``fsum`` does.
     """
-    return f.dx * math.fsum(memoryview(f.values))
+    return f.dx * f._sum
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -105,14 +143,21 @@ def normalize(f: GridFunction) -> GridFunction:
 def scale_amplitude(f: GridFunction, a: float) -> GridFunction:
     if not (a > 0) or not np.isfinite(a):
         raise DomainError("amplitude factor must be positive and finite")
-    return GridFunction(f.x0, f.dx, f.values * a)
+    # rounding is monotone, so every value * a is finite iff the largest is
+    if not math.isfinite(sup_norm(f) * a):
+        raise DomainError("values must be finite")
+    values = f.values * a
+    values.flags.writeable = False
+    return GridFunction._validated(f.x0, f.dx, values)
 
 
 def translate(f: GridFunction, s: float) -> GridFunction:
-    """Shift the grid origin by s.  Coordinates are real-valued; no snapping."""
-    if not np.isfinite(s):
-        raise DomainError("shift must be finite")
-    return GridFunction(f.x0 + s, f.dx, f.values)
+    """Shift the grid origin by s.  Coordinates are real-valued; no snapping.
+    The result shares f's read-only values."""
+    x0 = f.x0 + s
+    if not math.isfinite(x0):
+        raise DomainError("shift must be finite and keep x0 finite")
+    return GridFunction._validated(x0, f.dx, f.values)
 
 
 def support_indices(f: GridFunction):
@@ -235,34 +280,88 @@ def boundary_mass(f: GridFunction) -> float:
 
 
 def from_csv(path) -> GridFunction:
-    """Read a two-column ``x,value`` file with equally spaced increasing x."""
-    xs, vs = [], []
+    """Read a two-column ``x,value`` file with equally spaced increasing x.
+
+    Empty lines and rows whose first field, stripped, starts with ``#`` or is
+    ``x`` in either case are skipped; every other row holds two fields that
+    ``float`` reads.  ``_parse_whole`` reads the file in one pass; where it
+    declines, ``_parse_rows`` reads it row by row and names the first row it
+    cannot read.
+    """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            for row in reader:
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if row[0].strip().lower() == "x":
-                    continue
-                if len(row) != 2:
-                    raise DomainError(f"expected two columns, got {len(row)}: {row!r}")
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-        except (DomainError, UnicodeDecodeError):  # the latter is an i/o error, not a row's
-            raise
-        except (csv.Error, ValueError) as exc:  # a non-numeric cell or an oversized field
-            raise DomainError(f"row {reader.line_num}: {exc}") from None
-    if len(xs) < 2:
+        text = handle.read()  # undecodable bytes raise here: an i/o error, not a row's
+    try:
+        table = _parse_whole(text)
+    except ValueError:
+        table = _parse_rows(text)
+    if len(table) < 2:
         raise DomainError("need at least two samples")
-    x = np.asarray(xs)
+    x = table[:, 0]
     steps = np.diff(x)
     if np.any(steps <= 0):
         raise DomainError("x must be strictly increasing")
     dx = float(np.mean(steps))
     if np.max(np.abs(steps - dx)) > 1e-9 * max(abs(dx), 1e-30):
         raise DomainError("x must be equally spaced (1e-9 relative tolerance)")
-    return GridFunction(float(x[0]), dx, np.asarray(vs))
+    return GridFunction(float(x[0]), dx, table[:, 1])
+
+
+def _parse_whole(text: str) -> np.ndarray:
+    """The (x, value) rows of a csv text as an (n, 2) array, by one
+    ``np.loadtxt`` call on the text less its comment and header rows.
+
+    Without quote characters a ``csv`` row is a line split at commas, so the
+    two readers see the same fields.  np.loadtxt reads a field as ``float``
+    does, through the same string-to-double routine, except for what the
+    text is rewritten for first: ``float`` also reads non-ASCII decimal
+    digits and underscores between digits, and does not strip the ASCII
+    separators 0x1c to 0x1f.  Raises ValueError on a row either reader
+    rejects, and on quote characters and fields longer than ``csv``'s field
+    limit, which it leaves to ``_parse_rows``.
+    """
+    # a field longer than csv's limit covers a whole block of half that length
+    half = (csv.field_size_limit() + 1) // 2
+    blocks = (text[i : i + half] for i in range(0, len(text) - half + 1, half))
+    if '"' in text or any(not any(c in b for c in ",\r\n") for b in blocks):
+        raise ValueError("quoted or oversized fields")
+    if text.count("\r") != text.count("\r\n"):  # np.loadtxt reads CRLF, not a lone CR
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    data = "\n" + text + "\n"
+    # each comment or header row, with the line break before it
+    data = re.sub(r"\n[^\S\n]*(?:#|[xX][^\S\n]*(?=[,\n]))[^\n]*", "\n", data)
+    if any(c in data for c in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("a field holds a separator character")
+    if not data.isascii():
+        data = data.translate({ord(c): str(int(c)) for c in set(data) if c.isdecimal()})
+    if "_" in data:
+        data = re.sub(r"(?<=\d)_(?=\d)", "", data)
+    if not data.strip("\r\n"):
+        return np.empty((0, 2))
+    table = np.loadtxt(io.StringIO(data), delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != 2:
+        raise ValueError("expected two columns")
+    return table
+
+
+def _parse_rows(text: str) -> np.ndarray:
+    """``_parse_whole``'s table, read row by row with ``csv.reader`` and
+    ``float``; raises DomainError naming the first row it cannot read."""
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            if not row or row[0].strip().startswith("#"):
+                continue
+            if row[0].strip().lower() == "x":
+                continue
+            if len(row) != 2:
+                raise DomainError(f"expected two columns, got {len(row)}: {row!r}")
+            rows.append((float(row[0]), float(row[1])))
+    except DomainError:
+        raise
+    except (csv.Error, ValueError) as exc:  # a non-numeric cell or an oversized field
+        raise DomainError(f"row {reader.line_num}: {exc}") from None
+    return np.array(rows).reshape(-1, 2)
 
 
 def to_csv(f: GridFunction, path) -> None:

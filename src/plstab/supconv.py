@@ -463,22 +463,38 @@ def _hull_interval(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray, xs, 
            * ((np.abs(z[rows]) + np.max(np.abs(xs))) / lg.dx + 2.0 * lg.n))
     slack = 1e-12 * (1.0 + np.abs(lb0[rows])) + 2.0 * lip
 
-    def bisect(inner, outer):
-        # the node next to `outer` (a virtual node, -1 or last + 1) that the
-        # hull keeps, given that it keeps `inner`
-        inner, outer = inner.copy(), outer.copy()
+    def kept(act, j):
+        g = _scan_values(t, xs, hull_f, hg, z[rows[act]], j)
+        return g + slack[act] >= lb0[rows[act]]
+
+    def reach(inner, end):
+        # the node next to a rejected node, or to the virtual node `end` (-1
+        # or last + 1), that the hull keeps, given that it keeps `inner`:
+        # gallop out by 1, 2, 4, ... nodes to the first rejected node, then
+        # bisect only that last bracket
+        way = 1 if end > 0 else -1
+        inner, outer = inner.copy(), np.full(inner.size, end)
+        act, step = np.arange(inner.size), 1
+        while act.size:
+            j = inner[act] + way * step
+            inside = way * (end - j) > 0  # a row that gallops past the end brackets it
+            act, j = act[inside], j[inside]
+            keep = kept(act, j)
+            inner[act[keep]] = j[keep]
+            outer[act[~keep]] = j[~keep]
+            act = act[keep]
+            step *= 2
         while True:
             act = np.nonzero(np.abs(outer - inner) > 1)[0]
             if act.size == 0:
                 return inner
             mid = (inner[act] + outer[act]) // 2
-            g = _scan_values(t, xs, hull_f, hg, z[rows[act]], mid)
-            keep = g + slack[act] >= lb0[rows[act]]
+            keep = kept(act, mid)
             inner[act] = np.where(keep, mid, inner[act])
             outer[act] = np.where(keep, outer[act], mid)
 
-    jl[rows] = bisect(j0[rows], np.full(rows.size, -1))
-    jr[rows] = bisect(j0[rows], np.full(rows.size, last + 1))
+    jl[rows] = reach(j0[rows], -1)
+    jr[rows] = reach(j0[rows], last + 1)
     return lb0, jl, jr
 
 
@@ -499,13 +515,15 @@ def _block_scan_max(lf: _LogInterp, lg: _LogInterp, t: float, z: np.ndarray):
     g-index u_j lies outside [a, b], g's first and last finite node), and is
     concave in x.  ``_merge_max`` on the two hulls gives each cell's maximizer
     x* of G; F at the finite nodes either side of x* gives an attained value
-    lb0 at a node j0.  A bisection on each side of j0 finds the outermost
-    nodes with G + slack >= lb0, and every node beyond lies below lb0.  Let m
-    be the last node the bisection rejects.  The computed u_j falls as j
-    rises even in floating point, so if G(m) = -inf, u_m lies on the far side
-    of [a, b] from u_{j0} (F(j0) = lb0 is finite) and F is -inf at every node
-    beyond m.  Otherwise extend psi past [a, b] by its end slopes: it stays
-    concave and L-Lipschitz in u, L the steepest hull step, so G taken at the
+    lb0 at a node j0.  On each side of j0 a search gallops out by 1, 2, 4,
+    ... nodes to the first node with G + slack < lb0, bisects that last
+    bracket, and keeps the nodes up to a kept node next to a rejected node m
+    (or to the grid's end); every node beyond m lies below lb0, whichever
+    rejected node m is.  The computed u_j falls as j rises even in floating
+    point, so if G(m) = -inf, u_m lies on the far side of [a, b] from u_{j0}
+    (F(j0) = lb0 is finite) and F is -inf at every node beyond m.
+    Otherwise extend psi past [a, b] by its end slopes: it stays concave and
+    L-Lipschitz in u, L the steepest hull step, so G taken at the
     exact u, affine in x, is concave, and the computed G differs from it by
     the round-off of the interpolation (below 1e-12*(1 + |lb0|), every log
     value lying within 710 of zero; the hull chain is concave to the same

@@ -1,10 +1,13 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import plstab.grids
 from plstab import (
     DomainError,
     GridFunction,
@@ -34,21 +37,41 @@ def test_mass_indicator():
     assert mass(f) == pytest.approx(1.0, abs=dx)
 
 
-@given(st.lists(st.one_of(st.floats(0.0, 1e3),
-                          st.floats(0.0, 2.2250738585072014e-308),
-                          st.sampled_from([5e-324, 1e-310, 1e300])),
-                min_size=2, max_size=200),
-       st.randoms(use_true_random=False))
+@st.composite
+def mass_values(draw):
+    """2 to 2**14 cell values for the exact sum: zeros, subnormals, and one
+    band of magnitudes (the smallest normal binade, 1e-320 to 1e300, or one
+    binade whose cells share an exponent), so that small cells are not all
+    lost in the rounding of large ones."""
+    lo, hi = draw(st.sampled_from([(2.2250738585072014e-308, 4.450147717014403e-308),
+                                   (1e-320, 1e300), (0.5, 1.0)]))
+    elements = st.one_of(st.just(0.0), st.floats(0.0, 2.2250738585072014e-308), st.floats(lo, hi))
+    return draw(hnp.arrays(np.float64, st.integers(2, 2 ** 14), elements=elements))
+
+
+@given(mass_values(), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_mass_is_correctly_rounded_sum(vals, rng):
-    # subnormals and large values side by side; fsum over the array and over
-    # any permutation of it gives the same double
-    values = np.asarray(vals)
+def test_mass_is_correctly_rounded_sum(values, rng):
     f = GridFunction(0.0, 0.3, values)
-    assert mass(f) == 0.3 * math.fsum(values)
-    shuffled = list(vals)
+    assert mass(f).hex() == (0.3 * math.fsum(values.tolist())).hex()
+    shuffled = values.tolist()
     rng.shuffle(shuffled)
-    assert mass(GridFunction(0.0, 0.3, shuffled)) == mass(f)
+    assert mass(GridFunction(0.0, 0.3, shuffled)).hex() == mass(f).hex()
+
+
+def test_mass_overflow_raises_as_fsum_does():
+    with pytest.raises(OverflowError) as expected:
+        math.fsum([1e308, 1e308])
+    with pytest.raises(OverflowError) as got:
+        mass(GridFunction(0.0, 1.0, [1e308, 1e308]))
+    assert str(got.value) == str(expected.value)
+
+
+def test_mass_is_computed_once(monkeypatch):
+    f = GridFunction(0.0, 0.5, np.arange(5.0))
+    assert mass(f) == 5.0
+    monkeypatch.setattr(np, "bincount", None)  # a second sum would fail
+    assert mass(f) == 5.0
 
 
 def test_mass_gaussian(gauss_pi):
@@ -84,6 +107,30 @@ def test_translate_exact():
     h = translate(f, s)
     assert h.x0 == f.x0 + s
     assert mass(h) == mass(f)
+
+
+def test_translate_shares_values_and_checks_the_origin():
+    f = GridFunction(1e308, 0.5, np.array([1.0, 2.0, 0.0]))
+    g = translate(f, -1e308)
+    assert g.values is f.values and not g.values.flags.writeable
+    assert (g.x0, g.dx) == (0.0, 0.5)
+    for s in (np.inf, -np.inf, np.nan, 1e308):  # the last makes x0 overflow
+        with pytest.raises(DomainError):
+            translate(f, s)
+
+
+def test_scale_amplitude_checks_overflow_once():
+    f = GridFunction(0.0, 1.0, [1e200, 1.0])
+    with pytest.raises(DomainError, match="values must be finite"):
+        scale_amplitude(f, 1e200)
+    for a in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(DomainError, match="amplitude factor"):
+            scale_amplitude(f, a)
+    g = scale_amplitude(f, 1e100)
+    assert np.array_equal(g.values, [1e300, 1e100]) and not g.values.flags.writeable
+    assert g.values is not f.values and (g.x0, g.dx) == (f.x0, f.dx)
+    with pytest.raises(ValueError):
+        g.values[0] = 0.0
 
 
 def test_sup_norm_gaussian(gauss_pi):
@@ -202,3 +249,112 @@ def test_csv_names_row_it_cannot_read(tmp_path, row, problem):
     path.write_text(f"x,value\n0.0,1.0\n{row}\n2.0,1.0\n")
     with pytest.raises(DomainError, match=f"row 3: .*{problem}"):
         from_csv(path)
+
+
+def read_rows_reference(path):
+    """The csv-module reader that ``from_csv`` must agree with: one row at a
+    time, every field through ``float``."""
+    xs, vs = [], []
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if not row or row[0].strip().startswith("#") or row[0].strip().lower() == "x":
+                    continue
+                if len(row) != 2:
+                    raise DomainError(f"expected two columns, got {len(row)}: {row!r}")
+                xs.append(float(row[0]))
+                vs.append(float(row[1]))
+        except DomainError:
+            raise
+        except (csv.Error, ValueError) as exc:
+            raise DomainError(f"row {reader.line_num}: {exc}") from None
+    if len(xs) < 2:
+        raise DomainError("need at least two samples")
+    x = np.asarray(xs)
+    steps = np.diff(x)
+    if np.any(steps <= 0):
+        raise DomainError("x must be strictly increasing")
+    dx = float(np.mean(steps))
+    if np.max(np.abs(steps - dx)) > 1e-9 * max(abs(dx), 1e-30):
+        raise DomainError("x must be equally spaced (1e-9 relative tolerance)")
+    return GridFunction(float(x[0]), dx, np.asarray(vs))
+
+
+def outcome(read, path):
+    try:
+        f = read(path)
+    except DomainError as exc:
+        return str(exc)
+    return f.x0, f.dx, f.values.tobytes()
+
+
+# pieces of fields, separators and rows on which csv.reader + float and a
+# whole-file parse could part ways
+csv_tokens = st.sampled_from(
+    ["0", "1", "2.5", "-0.25", "1e-310", "7", "1_0", "1__0", "_1", "١", "٣.٥",
+     "nan", "inf", "abc", "x", "X", "#", " ", "\t", "\x0c", "\x1c", "\x1f", " ", "\xa0",
+     '"', ",", "\n", "\r", "\r\n", "e5", "+", "."])
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed x,value files, each row possibly perturbed."""
+    n = draw(st.integers(0, 6))
+    dx = draw(st.sampled_from([0.5, 0.25, 1.0]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["x,value", " X ,v", "# comment, with \"quotes", "  #", "x"])))
+    for i in range(n):
+        fields = [repr(i * dx), draw(st.sampled_from(["1.0", "0.5", "2e-3", "3_0", "٢", " 1 "]))]
+        if draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, 1))
+            fields[k] = draw(st.lists(csv_tokens, max_size=3).map("".join)) + fields[k]
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "x,value", ",", "\x1c#"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(csv_texts())
+@settings(max_examples=400, deadline=None)
+def test_from_csv_agrees_with_the_row_reader(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(from_csv, path) == outcome(read_rows_reference, path)
+
+
+def test_csv_valid_files_take_one_pass(tmp_path, monkeypatch):
+    # comments, headers and blank rows anywhere, CRLF line ends, underscores
+    # and non-ASCII digits: the whole-file parse reads them all
+    path = tmp_path / "d.csv"
+    rows = ["# made by hand", "x,value", "0.0,1_0", "", "  # mid", "0.5,٣", "X,again", " x ", "1.0,2.5", ""]
+    path.write_text("\r\n".join(rows), encoding="utf-8", newline="")
+
+    def refuse(text):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(plstab.grids, "_parse_rows", refuse)
+    f = from_csv(path)
+    assert (f.x0, f.dx, f.values.tolist()) == (0.0, 0.5, [10.0, 3.0, 2.5])
+    g = uniform(0.0, 1.0, -2.0, 2.0, 64)
+    to_csv(g, path)
+    assert np.array_equal(from_csv(path).values, g.values)
+
+
+@pytest.mark.parametrize(
+    "body, problem",
+    [("0.0,1.0\n1.0,2.0,3.0\n", "expected two columns, got 3"),
+     ("0.0,1.0\n   \n1.0,2.0\n", "expected two columns, got 1"),
+     ("0.0,1.0\n1.0,2.0\x1c\n", "row 2: could not convert"),
+     ("0.0,1.0\n1.0,1__0\n", "row 2: could not convert"),
+     ("# only a comment\n\n", "need at least two samples")],
+)
+def test_csv_rejects_what_the_row_reader_rejects(tmp_path, body, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(DomainError, match=problem):
+        from_csv(path)
+    with pytest.raises(DomainError, match=problem):
+        read_rows_reference(path)

@@ -397,15 +397,21 @@ def test_block_scan_ties_and_empty_rows():
     assert np.array_equal(x, x_ref) and np.array_equal(v, v_ref)
 
 
-def test_block_scan_evaluates_few_pairs(monkeypatch):
-    n = 4096
+def bimodal_scan_pair(n=4096):
+    """Two bimodal Gaussian mixtures on [-10, 10]: the hull intervals are
+    mostly a single node."""
     dx = 20.0 / (n - 1)
     xs = -10.0 + dx * np.arange(n)
     f = GridFunction(-10.0, dx, 0.4 * np.exp(-0.5 * ((xs + 1.9) / 0.6) ** 2)
                      + 0.6 * np.exp(-0.5 * ((xs - 1.6) / 0.8) ** 2))
     g = GridFunction(-10.0, dx, 0.55 * np.exp(-0.5 * ((xs + 1.5) / 0.7) ** 2)
                      + 0.45 * np.exp(-0.5 * ((xs - 2.3) / 0.55) ** 2))
-    lf, lg = _log_interp(f), _log_interp(g)
+    return _log_interp(f), _log_interp(g), xs
+
+
+def test_block_scan_evaluates_few_pairs(monkeypatch):
+    n = 4096
+    lf, lg, xs = bimodal_scan_pair(n)
     t = 0.35
     evaluated = []
     linear = _LogInterp.linear
@@ -472,6 +478,38 @@ def test_block_scan_runs_narrow_and_wide_rows(monkeypatch):
     finite = np.isfinite(lb0)
     assert np.any(finite & (width > plstab.supconv._SCAN_BLOCK))
     assert np.any(finite & (width <= plstab.supconv._SCAN_BLOCK))
+
+
+@pytest.mark.parametrize("kind", ["bimodal", "noisy"])
+def test_hull_interval_holds_every_node_the_hull_bound_admits(monkeypatch, kind):
+    # the galloping search may stop at any rejected node, so check its
+    # (jl, jr) against the hull bound G at every node of every row
+    if kind == "bimodal":
+        lf, lg, z = bimodal_scan_pair(1024)
+        t = 0.35
+    else:
+        rng = np.random.default_rng(5)
+        lf = _log_interp(scan_density(rng, "noisy", -4.0, 0.01, 900))
+        lg = _log_interp(scan_density(rng, "bimodal", -3.0, 0.013, 700))
+        t, z = 0.4, np.linspace(-4.0, 5.0, 1000)
+    lb0, jl, jr = recorded_scan(monkeypatch, lf, lg, t, z)
+    finite = np.isfinite(lf.logv)
+    xs = (lf.x0 + lf.dx * np.arange(lf.n))[finite]
+    hull_f = _log_hull(lf).logv[finite]
+    nodes = np.arange(xs.size)
+    rows = np.nonzero(np.isfinite(lb0))[0]
+    assert rows.size > 0.5 * z.size
+    narrow = 0
+    for start in range(0, rows.size, 128):
+        r = rows[start : start + 128]
+        bound = plstab.supconv._scan_values(t, xs, hull_f, _log_hull(lg), z[r, None], nodes[None, :])
+        reach = bound >= lb0[r, None]
+        first = np.where(reach.any(axis=1), np.argmax(reach, axis=1), jl[r])
+        last = np.where(reach.any(axis=1), xs.size - 1 - np.argmax(reach[:, ::-1], axis=1), jr[r])
+        assert np.all(jl[r] <= first) and np.all(last <= jr[r])
+        narrow += np.sum(jr[r] - jl[r] <= 2)
+    if kind == "bimodal":  # most rows keep the node beside x* and little else
+        assert narrow > 0.5 * rows.size
 
 
 def test_block_scan_mixture_at_small_t(monkeypatch):
