@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import hashlib
 import json
 import math
@@ -49,6 +50,29 @@ from .stability import (
 )
 from .supconv import pl_deficit, sup_convolution
 from . import invariants as _inv
+
+
+def _keep_freed_memory() -> None:
+    """On glibc, keep freed memory in the heap for the next call to reuse."""
+    # glibc trims the heap after each call and faults it back in on the next (over
+    # 700 minor faults per sup_convolution at n = 16384).  Both thresholds are set,
+    # mmap first: setting either turns off glibc's dynamic thresholds, and the trim
+    # threshold alone would mmap every array of 128 KiB or more afresh.  32 MiB is
+    # glibc's largest mmap threshold on 64-bit.
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 64 << 20)
+
+
+_keep_freed_memory()
 
 
 class ConfigError(ValueError):

@@ -137,7 +137,12 @@ def normalize(f: GridFunction) -> GridFunction:
     m = mass(f)
     if m <= 0:
         raise DomainError("zero mass")
-    return GridFunction(f.x0, f.dx, f.values / m)
+    # rounding is monotone, so every value / m is finite iff the largest is
+    if not math.isfinite(sup_norm(f) / m):
+        raise DomainError("values must be finite")
+    values = f.values / m
+    values.flags.writeable = False
+    return GridFunction._validated(f.x0, f.dx, values)
 
 
 def scale_amplitude(f: GridFunction, a: float) -> GridFunction:

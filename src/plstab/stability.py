@@ -16,6 +16,7 @@ pair, recentered and rescaled onto h.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import json
@@ -263,30 +264,41 @@ def _lipschitz_scan(fn, xs: np.ndarray, lip: float, slack: float, exact: np.ndar
     ``fn(i)`` is the value at ``xs[i]``.  Off the ``exact`` indices it is
     lip-Lipschitz in x up to round-off well below ``slack``; ``exact`` indices
     may take any value, so they are always evaluated and never bound a gap.
-    Starts from about every ``m // 32``-th index plus the last, then splits
-    gaps best-first by their lower bound (d_i + d_j - lip*(x_j - x_i))/2
-    (Piyavskii 1972; Shubert 1972) and drops a gap only when that bound
-    exceeds the best value found by more than ``slack``.  Returns
-    {index: value} for the evaluated indices; every other index is certified
-    to hold a value strictly above their minimum, so the first minimiser over
-    the returned indices is the first minimiser over the whole lattice.
+    Starts from the two lattice ends and each exact index with its
+    neighbours, then splits gaps best-first by their lower bound
+    (d_i + d_j - lip*(x_j - x_i))/2 (Piyavskii 1972; Shubert 1972) and drops
+    a gap only when that bound exceeds the best value found by more than
+    ``slack``.  A gap is split at the lattice index nearest the point where
+    its two cones meet, x* = (x_i + x_j)/2 + (d_i - d_j)/(2*lip), kept
+    strictly inside the gap.  Returns {index: value} for the evaluated
+    indices; every other index is certified to hold a value strictly above
+    their minimum, so the first minimiser over the returned indices is the
+    first minimiser over the whole lattice.
     """
     m = xs.size
-    seed = set(range(0, m, max(1, m // 32))) | {m - 1}
+    lattice = xs.tolist()
+    seed = {0, m - 1}
     for k in np.flatnonzero(exact).tolist():
         seed.update(i for i in (k - 1, k, k + 1) if 0 <= i < m)
     vals = {i: fn(i) for i in sorted(seed)}
     best = min(vals.values())
 
     def gap(i: int, j: int):
-        return (0.5 * (vals[i] + vals[j] - lip * (xs[j] - xs[i])), i, j)
+        return (0.5 * (vals[i] + vals[j] - lip * (lattice[j] - lattice[i])), i, j)
+
+    def split(i: int, j: int) -> int:
+        x = 0.5 * (lattice[i] + lattice[j])
+        if lip > 0.0:
+            x += (vals[i] - vals[j]) / (2.0 * lip)
+        k = bisect.bisect_left(lattice, x, i + 1, j - 1)
+        return k - 1 if k > i + 1 and x - lattice[k - 1] <= lattice[k] - x else k
 
     idx = sorted(vals)
     heap = [gap(i, j) for i, j in zip(idx, idx[1:]) if j - i > 1]
     heapq.heapify(heap)
     while heap and heap[0][0] <= best + slack:
         _, i, j = heapq.heappop(heap)
-        k = (i + j) // 2
+        k = split(i, j)
         vals[k] = fn(k)
         best = min(best, vals[k])
         for a, b in ((i, k), (k, j)):
@@ -305,10 +317,12 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     current shift, each followed by a shift refinement, and a last exact
     amplitude at the best shift found.  Returns (distance, shift, scale).
 
-    The lattice search is a certified branch-and-bound, not a scan of every
-    point.  At fixed amplitude a the distance moves with the shift at rate at
-    most L = a*TV(v), where TV(v) = v[0] + v[-1] + sum|diff(v)| counts the
-    jumps to zero at the edges of v's grid.  A stretch of lattice is skipped
+    The lattice search is a certified branch-and-bound (``_lipschitz_scan``),
+    not a scan of every point.  At fixed amplitude a the distance moves with
+    the shift at rate at most L = a*TV(v), where TV(v) = v[0] + v[-1] +
+    sum|diff(v)| counts the jumps to zero at the edges of v's grid.  It
+    starts from the two ends of the lattice and splits each stretch where the
+    cones of slope L from its two ends meet.  A stretch of lattice is skipped
     only when L proves every point in it above the best value found, with a
     slack of 1e-9*(mass(u) + a*mass(v)) for round-off.  A lattice point whose
     translated grid is u's own takes ``l1_distance``'s identical-grid

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from plstab.cli import (
     parse_config,
     parse_sweep_flag,
 )
+import plstab
 from plstab.grids import DomainError, PreconditionError
 
 
@@ -183,6 +187,38 @@ def test_jobs_parallel_matches_serial(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+FAULTS_AFTER_WARM_UP = """
+import resource
+import plstab.cli
+from plstab import sup_convolution
+from plstab.densities import gaussian
+f, g = gaussian(0.0, 1.0, -8.0, 8.0, 16384), gaussian(0.5, 1.5, -8.0, 8.0, 16384)
+for _ in range(3):
+    sup_convolution(f, g, 0.5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    sup_convolution(f, g, 0.5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _on_glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the allocator policy is set on glibc only")
+def test_cli_import_keeps_freed_memory_for_reuse():
+    # with glibc's default thresholds each of these calls takes ~700 minor faults
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", FAULTS_AFTER_WARM_UP], env=env,
+                         capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 50
 
 
 def test_stability_command(tmp_path):

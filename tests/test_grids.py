@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def test_scale_amplitude_checks_overflow_once():
     assert g.values is not f.values and (g.x0, g.dx) == (f.x0, f.dx)
     with pytest.raises(ValueError):
         g.values[0] = 0.0
+
+
+def test_normalize_checks_overflow_once():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is rejected before any division
+        with pytest.raises(DomainError, match="values must be finite"):
+            normalize(GridFunction(0.0, 5e-324, [1.0, 1.0]))
+        f = GridFunction(0.5, 0.25, [3.0, -0.0, 1e-310, 7.5])
+        g = normalize(f)
+    assert [v.hex() for v in g.values] == [v.hex() for v in f.values / mass(f)]
+    assert g.values is not f.values and not g.values.flags.writeable
+    assert (g.x0, g.dx) == (f.x0, f.dx)
 
 
 def test_sup_norm_gaussian(gauss_pi):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plstab import (
@@ -258,7 +258,64 @@ def test_lipschitz_scan_evaluates_exact_points(exact_value, minimiser):
 
     vals = _lipschitz_scan(fn, xs, 1.0, 1e-9, exact)
     assert min(vals, key=lambda i: (vals[i], i)) == minimiser
-    assert len(vals) < 100
+    assert len(vals) <= 12
+
+
+def _check_scan(d: np.ndarray, xs: np.ndarray, lip: float, exact: np.ndarray) -> dict:
+    # _lipschitz_scan against brute force: the same minimum and first minimiser,
+    # and every index it leaves out strictly above that minimum
+    slack = 1e-9 * (1.0 + float(np.max(np.abs(d))) + lip * float(xs[-1] - xs[0]))
+    vals = _lipschitz_scan(lambda i: float(d[i]), xs, lip, slack, exact)
+    assert all(vals[i] == d[i] for i in vals)
+    low = float(np.min(d))
+    assert min(vals.values()) == low
+    assert min(vals, key=lambda i: (vals[i], i)) == int(np.argmin(d))
+    assert all(d[i] > low for i in range(xs.size) if i not in vals)
+    return vals
+
+
+@st.composite
+def scan_problems(draw):
+    """(d, xs, lip, exact): d is L-Lipschitz in xs off the exact indices, which take
+    arbitrary values; lip >= L, up to far above it.  Integer lattices with slopes
+    of exactly +-L make cone points land on gap ends."""
+    m = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 120)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        lip_true = float(draw(st.integers(0, 3)))
+        steps = rng.integers(1, 4, m - 1).astype(float)
+        slopes = lip_true * rng.choice([-1.0, 1.0], m - 1)
+        x0, d0 = float(draw(st.integers(-50, 50))), float(draw(st.integers(-20, 20)))
+    else:
+        lip_true = draw(st.floats(0.01, 10.0))
+        steps = rng.uniform(1e-3, 2.0, m - 1)
+        slopes = rng.uniform(-lip_true, lip_true, m - 1)
+        x0, d0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-20.0, 20.0))
+    xs = x0 + np.concatenate([[0.0], np.cumsum(steps)])
+    d = d0 + np.concatenate([[0.0], np.cumsum(slopes * steps)])
+    exact = rng.random(m) < draw(st.sampled_from([0.0, 0.05, 0.3]))
+    d[exact] = rng.uniform(d.min() - 5.0, d.max() + 5.0, int(exact.sum()))
+    lip = lip_true * draw(st.sampled_from([1.0, 1.0, 1.5, 1e3, 1e6]))
+    return d, xs, lip, exact
+
+
+@given(scan_problems())
+@example((np.array([5.0]), np.array([0.0]), 1.0, np.array([False])))
+@example((np.array([5.0]), np.array([0.0]), 1.0, np.array([True])))
+@example((np.array([3.0, 1.0]), np.array([0.0, 1.0]), 1.0, np.array([False, False])))
+@example((np.array([1.0, 1.0]), np.array([0.0, 1.0]), 1.0, np.array([True, True])))
+@settings(max_examples=400, deadline=None)
+def test_lipschitz_scan_matches_brute_force(problem):
+    _check_scan(*problem)
+
+
+def test_lipschitz_scan_cone_point_on_a_gap_end():
+    # slope exactly lip: the seeds' cones meet at x_0, so the split is clamped to index 1
+    xs = np.arange(10.0)
+    d = 2.0 * xs
+    assert 0.5 * (xs[0] + xs[-1]) + (d[0] - d[-1]) / (2.0 * 2.0) == xs[0]
+    vals = _check_scan(d, xs, 2.0, np.zeros(10, dtype=bool))
+    assert sorted(vals) == [0, 1, 9]
 
 
 def test_aligned_pruned_scan_on_rectangle_branch_point(gauss_pi):
@@ -278,7 +335,7 @@ def test_aligned_probe_count_on_counterexample(monkeypatch):
 
     monkeypatch.setattr(plstab.stability, "l1_distance", counting)
     aligned_l1_distance(res.g, res.f)
-    assert len(calls) < 200
+    assert len(calls) <= 50
 
 
 # ---------------------------------------------------------------------------
