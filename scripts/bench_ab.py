@@ -22,11 +22,15 @@ system CPU seconds of the whole perfbench process tree
 steal time over the run (the delta of the ``steal`` column of the ``cpu``
 line of /proc/stat, in clock ticks; null where it cannot be read) and the
 operations it attempted, under ``rusage`` with per-side medians of the
-totals and of the totals per operation (a run lasts a fixed time, so a
-faster side runs more rounds).  User CPU per operation that stays flat
-while wall_s jumps points at time lost to other tenants (with steal to
-match); one that jumps with wall_s means each operation did more work, from
-inside the process or from contention for shared caches.
+totals, and of user CPU per operation (a run lasts a fixed time, so a
+faster side runs more rounds).  Faults, system CPU and steal get no
+per-operation median: most of a run's faults and system time are the
+start-up of its dozen processes, not the timed rounds, so dividing them by
+the timed child's operations tracks the operation count, not the code.
+User CPU per operation that stays flat while wall_s jumps points at time
+lost to other tenants (with steal to match); one that jumps with wall_s
+means each operation did more work, from inside the process or from
+contention for shared caches.
 
   python3 scripts/bench_ab.py PARENT_REV --out BENCH.json [--pairs 10]
       [--workloads sweep_1d,pairs_csv] [--seed 1]
@@ -144,14 +148,17 @@ def summarize(runs: dict, better: str) -> dict:
 
 def usage_summary(runs: list) -> dict:
     """Each run's minor faults, user and system CPU seconds, steal ticks and
-    operations, with the medians of the first four and of each per
-    operation.  Runs whose steal could not be read are left out of its
-    medians, which are null when no run has it."""
+    operations, with the medians of the first four and of user CPU per
+    operation.  The totals cover the whole process tree, whose start-up
+    carries most of its faults and system CPU, and steal is the host's: only
+    user CPU is spent mostly in the timed rounds, so only it is divided by
+    their operations.  Runs whose steal could not be read are left out of
+    its median, which is null when no run has it."""
     out = {"runs": runs}
     for key in ("minflt", "user_s", "sys_s", "steal"):
-        known = [r for r in runs if r[key] is not None]
-        out[f"{key}_median"] = statistics.median(r[key] for r in known) if known else None
-        out[f"{key}_per_op_median"] = statistics.median(r[key] / r["ops"] for r in known) if known else None
+        known = [r[key] for r in runs if r[key] is not None]
+        out[f"{key}_median"] = statistics.median(known) if known else None
+    out["user_s_per_op_median"] = statistics.median(r["user_s"] / r["ops"] for r in runs)
     return out
 
 

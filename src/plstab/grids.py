@@ -174,24 +174,22 @@ def support_indices(f: GridFunction):
 
 
 def l1_distance(f: GridFunction, g: GridFunction) -> float:
-    """L1 distance between f and g, by one of three paths.
+    """L1 distance between the piecewise-linear interpolants of f and g.
 
-    - Identical grids (same x0, dx and n): the plain rectangle sum
-      dx * sum|f - g|.
-    - Equal dx, different x0 or n: the exact integral of |f - g| between the
-      piecewise-linear interpolants, with the grids' interleaving in closed
-      form (``_l1_equal_spacing``).
-    - Unequal dx: the same exact integral, segment by segment over the merged
-      breakpoint set (``_l1_merged``).
+    One metric, computed exactly by one of two paths:
+
+    - equal dx (identical grids included, at offset 0): the grids'
+      interleaving in closed form (``_l1_equal_spacing``);
+    - unequal dx: segment by segment over the merged breakpoint set
+      (``_l1_merged``).
 
     The interpolants are zero outside their declared ranges.  Exactness makes
-    the distance a true metric, so the triangle inequality holds regardless of
-    how the two grids interleave; per-pair resampling would break it at
-    quadrature order.
+    the distance a true metric, continuous under a shift of either grid, so
+    the triangle inequality holds however the grids interleave; per-pair
+    resampling would break it at quadrature order.  The result does not
+    depend on the argument order.
     """
     if f.dx == g.dx:
-        if f.x0 == g.x0 and f.n == g.n:
-            return float(f.dx * np.sum(np.abs(f.values - g.values)))
         return _l1_equal_spacing(f, g)
     return _l1_merged(f, g)
 
@@ -226,15 +224,18 @@ def _l1_equal_spacing(f: GridFunction, g: GridFunction) -> float:
     """Exact L1 distance of the interpolants of two grids with equal dx.
 
     u is the grid with the smaller (x0, n), so the result does not depend on
-    the argument order.  In units of dx from u's first node, w's nodes sit at
-    j + k + theta, with k = floor(off) >= 0 and 0 <= theta < 1.  So cell
-    [i, i+1] of u's frame splits once, at i + theta: its left piece lies in
-    w-cell i-k-1 and its right piece in w-cell i-k.  Both grids reach only
-    cells k .. c; outside them one interpolant is zero and the distance is the
-    other one's trapezoid mass.  On cells k .. c, w's cell ends are
-    zero-padded, so a piece outside w's node range counts as 0 (the
-    interpolant jumps to zero at the grid's ends, it does not ramp).  Each
-    piece is then one exact integral of |linear|.  No sort, no search.
+    the argument order; identical grids tie, so where the nodes coincide
+    (theta = 0) w is read at u's nodes as its node values themselves, and the
+    result stays bit for bit order-free.  In units of dx from u's first node,
+    w's nodes sit at j + k + theta, with k = floor(off) >= 0 and
+    0 <= theta < 1.  So cell [i, i+1] of u's frame splits once, at
+    i + theta: its left piece lies in w-cell i-k-1 and its right piece in
+    w-cell i-k.  Both grids reach only cells k .. c; outside them one
+    interpolant is zero and the distance is the other one's trapezoid mass.
+    On cells k .. c, w's cell ends are zero-padded, so a piece outside w's
+    node range counts as 0 (the interpolant jumps to zero at the grid's ends,
+    it does not ramp).  Each piece is then one exact integral of |linear|.
+    No sort, no search.
     """
     u, w = (f, g) if (f.x0, f.n) <= (g.x0, g.n) else (g, f)
     uv, wv = u.values, w.values
@@ -254,9 +255,12 @@ def _l1_equal_spacing(f: GridFunction, g: GridFunction) -> float:
     u_split = ub - ua  # u at the split point i + theta
     u_split *= theta
     u_split += ua
-    w_node = wb - wa  # slot q's w-cell at u's node k+q
-    w_node *= 1.0 - theta
-    w_node += wa
+    if theta == 0.0:  # the nodes coincide
+        w_node = wb
+    else:
+        w_node = wb - wa  # slot q's w-cell at u's node k+q
+        w_node *= 1.0 - theta
+        w_node += wa
     # row 0 the left pieces, row 1 the right pieces: |e| runs linearly from |e0| to |e1|
     e0, e1 = np.empty((2, cells)), np.empty((2, cells))
     np.subtract(ua, w_node[:-1], out=e0[0])

@@ -26,8 +26,9 @@ from .grids import (
 from .transport import cdf
 
 
-def is_log_concave(f: GridFunction, tol: float = 1e-8):
-    """Discrete midpoint concavity of log f on the support window.
+def is_log_concave(f: GridFunction):
+    """Discrete midpoint concavity of log f on the support window: a second
+    difference of log f above 1e-8 is a violation.
 
     Returns ``(ok, first_violating_index)``.  A zero cell strictly inside the
     support window is itself a violation.
@@ -44,7 +45,7 @@ def is_log_concave(f: GridFunction, tol: float = 1e-8):
     if logv.size < 3:
         return True, None
     second = logv[2:] - 2.0 * logv[1:-1] + logv[:-2]
-    bad = np.nonzero(second > tol)[0]
+    bad = np.nonzero(second > 1e-8)[0]
     if bad.size:
         return False, int(lo + bad[0] + 1)
     return True, None
@@ -122,6 +123,10 @@ def median(f: GridFunction) -> float:
     return float(cdf(f).quantile(0.5))
 
 
+# relative slack of the envelope checks: a ratio up to 1 + ENVELOPE_TOL passes
+ENVELOPE_TOL = 5e-3
+
+
 @dataclass(frozen=True)
 class EnvelopeReport:
     center: float
@@ -132,11 +137,11 @@ class EnvelopeReport:
     ok: bool
 
 
-def median_envelope_check(f: GridFunction, tol: float = 5e-3) -> EnvelopeReport:
+def median_envelope_check(f: GridFunction) -> EnvelopeReport:
     """Check phi(m) e^(-2 phi(m)|x-m|) <= phi <= phi(m) e^(2 phi(m)|x-m|)
     on |x-m| <= log(2) / (2 phi(m)) for a log-concave probability density.
 
-    Ratios above one (beyond ``tol``) flag a violation.  The input is
+    Ratios above one (beyond ``ENVELOPE_TOL``) flag a violation.  The input is
     normalized internally.
     """
     ok, idx = is_log_concave(f)
@@ -166,7 +171,7 @@ def median_envelope_check(f: GridFunction, tol: float = 5e-3) -> EnvelopeReport:
         window=(m - halfwidth, m + halfwidth),
         max_upper_ratio=max_upper,
         max_lower_ratio=max_lower,
-        ok=bool(max_upper <= 1.0 + tol and max_lower <= 1.0 + tol),
+        ok=bool(max_upper <= 1.0 + ENVELOPE_TOL and max_lower <= 1.0 + ENVELOPE_TOL),
     )
 
 
@@ -183,8 +188,9 @@ class NuEnvelopeReport:
     ok: bool
 
 
-def nu_envelope_check(f: GridFunction, x: float, tol: float = 5e-3) -> NuEnvelopeReport:
-    """Envelope bounds anchored at x with nu = mass beyond x.
+def nu_envelope_check(f: GridFunction, x: float) -> NuEnvelopeReport:
+    """Envelope bounds anchored at x with nu = mass beyond x, each with the
+    slack ``ENVELOPE_TOL``.
 
     Also bounds the density to the right of x: phi(w) <= 2*phi(x) for every
     w > x when nu <= 1/2 (the factor 2 is what the normalization
@@ -219,7 +225,7 @@ def nu_envelope_check(f: GridFunction, x: float, tol: float = 5e-3) -> NuEnvelop
         max_lower = np.inf
     beyond = xs > x + fn.dx
     beyond_ratio = float(np.max(fn.values[beyond]) / fx) if np.any(beyond) else 0.0
-    beyond_ok = beyond_ratio <= 2.0 * (1.0 + tol)
+    beyond_ok = beyond_ratio <= 2.0 * (1.0 + ENVELOPE_TOL)
     return NuEnvelopeReport(
         nu=nu,
         x=x,
@@ -229,7 +235,7 @@ def nu_envelope_check(f: GridFunction, x: float, tol: float = 5e-3) -> NuEnvelop
         max_lower_ratio=max_lower,
         max_beyond_ratio=beyond_ratio,
         beyond_ok=beyond_ok,
-        ok=bool(max_upper <= 1.0 + tol and max_lower <= 1.0 + tol and beyond_ok),
+        ok=bool(max_upper <= 1.0 + ENVELOPE_TOL and max_lower <= 1.0 + ENVELOPE_TOL and beyond_ok),
     )
 
 

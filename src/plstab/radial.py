@@ -170,16 +170,14 @@ def lemma_square_sides(a: float, b: float, n: int):
     return lhs, (root - 1.0) ** 2
 
 
-def lemma_square_min_ratio(n: int, grid_steps: int = 200) -> float:
-    """Minimum of lhs/q over a geometric (a, b) grid in (1/16, 16)^2.
+def lemma_square_min_ratio(n: int) -> float:
+    """Minimum of lhs/q over a geometric 200 x 200 (a, b) grid in (1/16, 16)^2.
 
     Points with q below 1e-12 (the neighborhood of sqrt(b a^(n-1)) = 1) are
     excluded; the degenerate point (1, 1) is covered by diagonal Taylor probes
     at radius 1e-4, which realize the worst direction there.
     """
-    if grid_steps < 100:
-        raise DomainError("grid_steps must be >= 100")
-    gpts = np.exp(np.linspace(math.log(1.0 / 16.0), math.log(16.0), grid_steps + 2)[1:-1])
+    gpts = np.exp(np.linspace(math.log(1.0 / 16.0), math.log(16.0), 202)[1:-1])
     A, B = np.meshgrid(gpts, gpts, indexing="ij")
     root = np.sqrt(B * A ** (n - 1))
     lhs = ((A + 1.0) / 2.0) ** (n - 1) * (1.0 + B) / 2.0 - root

@@ -106,24 +106,21 @@ def near_equality_pair(seed, delta: float, n: int = 2048):
     return f, g
 
 
-def random_unimodal(seed, lo: float = -4.0, hi: float = 4.0, n: int = 513) -> GridFunction:
-    """Random unimodal grid function with its mode at x = 0."""
+def random_unimodal(seed) -> GridFunction:
+    """Random unimodal grid function on 513 cells of [-4, 4], with its mode at x = 0."""
     rng = _rng(seed)
-    if n % 2 == 0:
-        n += 1
-    mid = n // 2
     peak = rng.uniform(0.5, 1.0)
-    left = np.sort(rng.uniform(0.0, peak, size=mid))
-    right = -np.sort(-rng.uniform(0.0, peak, size=mid))
+    left = np.sort(rng.uniform(0.0, peak, size=256))
+    right = -np.sort(-rng.uniform(0.0, peak, size=256))
     vals = np.concatenate([left, [peak], right])
-    dx = (hi - lo) / (n - 1)
-    return GridFunction(lo, dx, vals)
+    return GridFunction(-4.0, 8.0 / 512, vals)
 
 
-def random_piecewise_linear(seed, span: float = 4.0, segments: int = 6) -> PiecewiseLinear:
-    """Random piecewise-linear test function anchored at phi(0) = 0."""
+def random_piecewise_linear(seed) -> PiecewiseLinear:
+    """Random piecewise-linear test function on [-4, 4], with 6 random knots
+    besides -4, 0 and 4, anchored at phi(0) = 0."""
     rng = _rng(seed)
-    knots = np.unique(np.concatenate([rng.uniform(-span, span, size=segments), [-span, 0.0, span]]))
+    knots = np.unique(np.concatenate([rng.uniform(-4.0, 4.0, size=6), [-4.0, 0.0, 4.0]]))
     vals = rng.uniform(-1.0, 1.0, size=knots.size)
     vals = vals - np.interp(0.0, knots, vals)
     return PiecewiseLinear(knots, vals)
@@ -133,9 +130,9 @@ def random_piecewise_linear(seed, span: float = 4.0, segments: int = 6) -> Piece
 # aligned distances
 
 
-def _median_amplitude(u: np.ndarray, w: np.ndarray, lo: float, hi: float, cell=None) -> float:
+def _median_amplitude(u: np.ndarray, w: np.ndarray, lo: float, hi: float, cell: np.ndarray) -> float:
     """The amplitude a in [lo, hi] that minimises sum c_i * |u_i - a*w_i|, with
-    per-cell weights c (all 1 when ``cell`` is None).
+    per-cell weights c = ``cell`` (the radial family's cell volumes).
 
     The sum is convex and piecewise linear in a, least at the weighted median
     of u_i/w_i with weights c_i*w_i: least absolute deviations through the
@@ -143,7 +140,7 @@ def _median_amplitude(u: np.ndarray, w: np.ndarray, lo: float, hi: float, cell=N
     """
     pos = w > 0
     ratios = u[pos] / w[pos]
-    weights = w[pos] if cell is None else cell[pos] * w[pos]
+    weights = cell[pos] * w[pos]
     order = np.argsort(ratios, kind="stable")
     weight = np.cumsum(weights[order])
     median = float(ratios[order][np.searchsorted(weight, 0.5 * weight[-1])])
@@ -188,19 +185,15 @@ def _linear_pieces(u: GridFunction, w: GridFunction) -> list:
 def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> float:
     """The amplitude a in [lo, hi] that minimises l1_distance(u, a*w).
 
-    That distance F(a) is convex in a.  On identical grids it is
-    dx * sum|u_i - a*w_i|, least at the weighted median of u_i/w_i with
-    weights w_i (``_median_amplitude``).  On any other pair F' is a sum over
-    the segments on which u and w are both linear (``_linear_pieces``): the
-    segment's length times the mean of w*sign(a*w - u), exact once the
-    segment is split at its one crossing.  Its sign change is found by false
+    That distance F(a) is convex in a, and F' is a sum over the segments on
+    which u and w are both linear (``_linear_pieces``, identical grids being
+    the equal-spacing case at offset 0): the segment's length times the mean
+    of w*sign(a*w - u), exact once the segment is split at its one crossing.  Its sign change is found by false
     position down to adjacent floats.  A segment whose a*w - u keeps one sign
     at both ends across the whole bracket adds a fixed term and leaves the
     active set.  The result depends on (u, w) alone, not on the round-off of
     the kernels that evaluate F.
     """
-    if u.x0 == w.x0 and u.dx == w.dx and u.n == w.n:
-        return _median_amplitude(u.values, w.values, lo, hi)
     pieces = _linear_pieces(u, w)
     fixed = 0.0
 
@@ -258,29 +251,23 @@ def _best_amplitude(u: GridFunction, w: GridFunction, lo: float, hi: float) -> f
         prune(lo, hi)
 
 
-def _lipschitz_scan(fn, xs: np.ndarray, lip: float, slack: float, exact: np.ndarray) -> dict:
+def _lipschitz_scan(fn, xs: np.ndarray, lip: float, slack: float) -> dict:
     """Certified branch-and-bound for the minimum of fn over the sorted lattice xs.
 
-    ``fn(i)`` is the value at ``xs[i]``.  Off the ``exact`` indices it is
-    lip-Lipschitz in x up to round-off well below ``slack``; ``exact`` indices
-    may take any value, so they are always evaluated and never bound a gap.
-    Starts from the two lattice ends and each exact index with its
-    neighbours, then splits gaps best-first by their lower bound
-    (d_i + d_j - lip*(x_j - x_i))/2 (Piyavskii 1972; Shubert 1972) and drops
-    a gap only when that bound exceeds the best value found by more than
-    ``slack``.  A gap is split at the lattice index nearest the point where
-    its two cones meet, x* = (x_i + x_j)/2 + (d_i - d_j)/(2*lip), kept
-    strictly inside the gap.  Returns {index: value} for the evaluated
+    ``fn(i)`` is the value at ``xs[i]``, lip-Lipschitz in x up to round-off
+    well below ``slack``.  Starts from the two lattice ends, then splits gaps
+    best-first by their lower bound (d_i + d_j - lip*(x_j - x_i))/2
+    (Piyavskii 1972; Shubert 1972) and drops a gap only when that bound
+    exceeds the best value found by more than ``slack``.  A gap is split at
+    the lattice index nearest the point where its two cones meet,
+    x* = (x_i + x_j)/2 + (d_i - d_j)/(2*lip), kept strictly inside the gap.  Returns {index: value} for the evaluated
     indices; every other index is certified to hold a value strictly above
     their minimum, so the first minimiser over the returned indices is the
     first minimiser over the whole lattice.
     """
     m = xs.size
     lattice = xs.tolist()
-    seed = {0, m - 1}
-    for k in np.flatnonzero(exact).tolist():
-        seed.update(i for i in (k - 1, k, k + 1) if 0 <= i < m)
-    vals = {i: fn(i) for i in sorted(seed)}
+    vals = {i: fn(i) for i in sorted({0, m - 1})}
     best = min(vals.values())
 
     def gap(i: int, j: int):
@@ -293,9 +280,7 @@ def _lipschitz_scan(fn, xs: np.ndarray, lip: float, slack: float, exact: np.ndar
         k = bisect.bisect_left(lattice, x, i + 1, j - 1)
         return k - 1 if k > i + 1 and x - lattice[k - 1] <= lattice[k] - x else k
 
-    idx = sorted(vals)
-    heap = [gap(i, j) for i, j in zip(idx, idx[1:]) if j - i > 1]
-    heapq.heapify(heap)
+    heap = [gap(0, m - 1)] if m > 2 else []
     while heap and heap[0][0] <= best + slack:
         _, i, j = heapq.heappop(heap)
         k = split(i, j)
@@ -324,13 +309,12 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     starts from the two ends of the lattice and splits each stretch where the
     cones of slope L from its two ends meet.  A stretch of lattice is skipped
     only when L proves every point in it above the best value found, with a
-    slack of 1e-9*(mass(u) + a*mass(v)) for round-off.  A lattice point whose
-    translated grid is u's own takes ``l1_distance``'s identical-grid
-    rectangle sum instead of the interpolant metric, so it is always
-    evaluated.  The result is therefore bit for bit that of evaluating every
-    lattice point: the same first minimiser, and the same refinement from it.
-    Every other probe is an exact interpolant metric: the equal-spacing path
-    when u and v share dx, the merged-breakpoint path otherwise.
+    slack of 1e-9*(mass(u) + a*mass(v)) for round-off.  Every probe is the
+    exact interpolant metric of ``l1_distance``, which moves continuously
+    with the shift (a lattice point on u's own grid included), so the bound
+    holds on the whole lattice.  The result is therefore bit for bit that of
+    evaluating every lattice point: the same first minimiser, and the same
+    refinement from it.
     """
     mu, mv = mass(u), mass(v)
     if mu <= 0 or mv <= 0:
@@ -356,10 +340,9 @@ def aligned_l1_distance(u: GridFunction, v: GridFunction, optimize_scale: bool =
     span = 0.5 * ((u.n - 1) * u.dx + (v.n - 1) * v.dx)
     center = (u.x0 + 0.5 * (u.n - 1) * u.dx) - (v.x0 + 0.5 * (v.n - 1) * v.dx)
     shifts = center + np.arange(-span, span + 2 * dx, 4.0 * dx)
-    exact = (v.x0 + shifts == u.x0) & (u.dx == v.dx) & (u.n == v.n)
     tv = v.values[0] + v.values[-1] + float(np.sum(np.abs(np.diff(v.values))))
     vals = _lipschitz_scan(
-        lambda i: dist(float(shifts[i]), a_cur), shifts, a_cur * tv, 1e-9 * (mu + a_cur * mv), exact
+        lambda i: dist(float(shifts[i]), a_cur), shifts, a_cur * tv, 1e-9 * (mu + a_cur * mv)
     )
     for i in sorted(vals):
         if vals[i] < best["d"]:

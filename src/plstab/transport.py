@@ -224,10 +224,8 @@ class BiLipschitzReport:
     note: str = ""
 
 
-def check_bilipschitz(
-    f: GridFunction, g: GridFunction, mass_level: float, bound: float = 16.0
-) -> BiLipschitzReport:
-    """Verify T' < bound on (x1, x2) and S' < bound on (y1, y2).
+def check_bilipschitz(f: GridFunction, g: GridFunction, mass_level: float) -> BiLipschitzReport:
+    """Verify T' < 16 on (x1, x2) and S' < 16 on (y1, y2).
 
     The cut points remove ``mass_level`` from each tail.  Log-concavity of both
     inputs is a precondition; two boundary cells on each side of the cut are
@@ -262,7 +260,7 @@ def check_bilipschitz(
     hyp = mass_level < 1.0 / 6.0
     note = "" if hyp else "tail mass level >= 1/6: hypothesis of the derivative bound fails"
     return BiLipschitzReport(
-        ok=bool(tmax < bound and smax < bound),
+        ok=bool(tmax < 16.0 and smax < 16.0),
         tprime_max=tmax,
         sprime_max=smax,
         x_cut=(x1, x2),

@@ -175,11 +175,11 @@ def test_criterion_8_numerical_lemma():
 
 
 def test_criterion_9_lemma_square():
-    r1 = lemma_square_min_ratio(1, grid_steps=200)
+    r1 = lemma_square_min_ratio(1)
     assert r1 == pytest.approx(0.5, abs=1e-6)
     baselines = {}
     for n in (2, 3, 5):
-        baselines[n] = lemma_square_min_ratio(n, grid_steps=200)
+        baselines[n] = lemma_square_min_ratio(n)
         assert baselines[n] > 0.01
     report(9, "min ratios n=1: %.8f, %s" % (
         r1, ", ".join(f"n={n}: {v:.5f}" for n, v in baselines.items())))
@@ -224,10 +224,10 @@ def test_criterion_11_envelope_bounds():
     fails = 0
     for seed in range(50):
         f = random_log_concave(5000 + seed)
-        if not median_envelope_check(f, tol=5e-3).ok:
+        if not median_envelope_check(f).ok:
             fails += 1
         x = float(cdf(f).quantile(0.72))
-        if not nu_envelope_check(f, x, tol=5e-3).ok:
+        if not nu_envelope_check(f, x).ok:
             fails += 1
     assert fails == 0
 

@@ -214,18 +214,23 @@ def test_l1_equal_spacing_matches_merged_breakpoints(a, b, c, kb, tb, kc, tc, dx
     fc = GridFunction(x0 + (kc + tc) * dx, dx, c)
     for p, q in ((fa, fb), (fb, fc), (fa, fc)):
         d = l1_distance(p, q)
-        assert l1_distance(q, p) == d
-        if p.x0 == q.x0 and p.n == q.n:  # identical grids keep the rectangle sum
-            assert d == float(dx * np.sum(np.abs(p.values - q.values)))
-        else:
-            merged = _l1_merged(p, q)
-            # 1e-300: subnormal values carry absolute, not relative, precision
-            assert abs(d - merged) <= 1e-12 * merged + 1e-15 * (mass(p) + mass(q)) + 1e-300
-    # translates of one grid: three distinct frames, so every pair is an exact interpolant metric
+        assert l1_distance(q, p) == d  # bitwise, identical grids included
+        merged = _l1_merged(p, q)
+        # 1e-300: subnormal values carry absolute, not relative, precision
+        assert abs(d - merged) <= 1e-12 * merged + 1e-15 * (mass(p) + mass(q)) + 1e-300
+    # translates of one grid, shared frames included
     ta, tb_, tc_ = fa, translate(fa, (kb + tb) * dx), translate(fa, (kc + tc) * dx)
-    if len({ta.x0, tb_.x0, tc_.x0}) == 3:
-        scale = mass(fa)
-        assert l1_distance(ta, tc_) <= l1_distance(ta, tb_) + l1_distance(tb_, tc_) + 1e-12 * scale + 1e-300
+    scale = mass(fa)
+    assert l1_distance(ta, tc_) <= l1_distance(ta, tb_) + l1_distance(tb_, tc_) + 1e-12 * scale + 1e-300
+
+
+def test_l1_is_continuous_in_the_shift():
+    # h is f moved by 1e-9: a metric that jumps on shared grids breaks the triangle inequality here
+    f = GridFunction(0.0, 0.5, [1.0, 0.0, 1.0, 0.0])
+    g = GridFunction(0.0, 0.5, [0.0, 1.0, 0.0, 1.0])
+    h = translate(f, 1e-9)
+    assert l1_distance(f, g) <= l1_distance(f, h) + l1_distance(h, g) + 1e-15
+    assert l1_distance(f, g) == pytest.approx(l1_distance(h, g), abs=1e-8)
 
 
 @given(grid_values, st.floats(0.1, 5.0), st.floats(-3.0, 3.0))

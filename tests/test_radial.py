@@ -149,11 +149,6 @@ def test_lemma_square_ratio_degrades_with_dimension():
     assert lemma_square_min_ratio(5) <= lemma_square_min_ratio(2)
 
 
-def test_lemma_square_min_ratio_validation():
-    with pytest.raises(DomainError):
-        lemma_square_min_ratio(2, grid_steps=50)
-
-
 def test_radial_l1_identity():
     p = gaussian_profile(2)
     assert radial_l1_distance(p, p) == 0.0
