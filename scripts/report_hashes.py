@@ -63,6 +63,9 @@ RUNS = [
     # L1 distances between unequally spaced grids
     ("deficit_unequal_csv", ["deficit", "--config", "deficit_unequal.json"]),
     ("stability_unequal_csv", ["stability", "--config", "stability_unequal.json"]),
+    # d = 5 at t = 0.3: the radial weight r^4 and an unequal split
+    ("radial_sweep_d5_t03",
+     ["radial", "--sweep", "delta=0.011:0.11:4", "--n", "4096", "--dimension", "5", "--t", "0.3"]),
 ]
 
 

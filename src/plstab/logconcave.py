@@ -137,6 +137,27 @@ class EnvelopeReport:
     ok: bool
 
 
+def _envelope_ratios(fn: GridFunction, x: float, fx: float, rate: float):
+    """The window |w - x| <= log(2)/rate and the largest ratios over its cells
+    of fn(w) / (fx e^(rate |w-x|)) (upper) and fx e^(-rate |w-x|) / fn(w)
+    (lower), with whether both stay within 1 + ``ENVELOPE_TOL``."""
+    halfwidth = math.log(2.0) / rate
+    xs = fn.centers
+    inside = np.abs(xs - x) <= halfwidth
+    v = fn.values[inside]
+    d = np.abs(xs[inside] - x)
+    upper = fx * np.exp(rate * d)
+    lower = fx * np.exp(-rate * d)
+    pos = v > SUPPORT_THRESHOLD
+    max_upper = float(np.max(v / upper)) if np.any(pos) else 0.0
+    max_lower = float(np.max(lower[pos] / v[pos])) if np.any(pos) else 0.0
+    # zero cells inside the window violate the lower envelope outright
+    if np.any(~pos & (lower > 0)):
+        max_lower = np.inf
+    ok = max_upper <= 1.0 + ENVELOPE_TOL and max_lower <= 1.0 + ENVELOPE_TOL
+    return (x - halfwidth, x + halfwidth), max_upper, max_lower, ok
+
+
 def median_envelope_check(f: GridFunction) -> EnvelopeReport:
     """Check phi(m) e^(-2 phi(m)|x-m|) <= phi <= phi(m) e^(2 phi(m)|x-m|)
     on |x-m| <= log(2) / (2 phi(m)) for a log-concave probability density.
@@ -152,26 +173,14 @@ def median_envelope_check(f: GridFunction) -> EnvelopeReport:
     fm = float(fn.evaluate(m))
     if fm <= 0:
         raise PreconditionError("density vanishes at its median")
-    halfwidth = math.log(2.0) / (2.0 * fm)
-    xs = fn.centers
-    inside = np.abs(xs - m) <= halfwidth
-    v = fn.values[inside]
-    d = np.abs(xs[inside] - m)
-    upper = fm * np.exp(2.0 * fm * d)
-    lower = fm * np.exp(-2.0 * fm * d)
-    pos = v > SUPPORT_THRESHOLD
-    max_upper = float(np.max(v / upper)) if np.any(pos) else 0.0
-    max_lower = float(np.max(lower[pos] / v[pos])) if np.any(pos) else 0.0
-    # zero cells inside the window violate the lower envelope outright
-    if np.any(~pos & (lower > 0)):
-        max_lower = np.inf
+    window, max_upper, max_lower, ok = _envelope_ratios(fn, m, fm, 2.0 * fm)
     return EnvelopeReport(
         center=m,
         density_at_center=fm,
-        window=(m - halfwidth, m + halfwidth),
+        window=window,
         max_upper_ratio=max_upper,
         max_lower_ratio=max_lower,
-        ok=bool(max_upper <= 1.0 + ENVELOPE_TOL and max_lower <= 1.0 + ENVELOPE_TOL),
+        ok=ok,
     )
 
 
@@ -212,17 +221,7 @@ def nu_envelope_check(f: GridFunction, x: float) -> NuEnvelopeReport:
     fx = float(fn.evaluate(x))
     if fx <= 0:
         raise PreconditionError("density vanishes at the anchor point")
-    halfwidth = nu * math.log(2.0) / fx
-    inside = np.abs(xs - x) <= halfwidth
-    v = fn.values[inside]
-    d = np.abs(xs[inside] - x)
-    upper = fx * np.exp(fx * d / nu)
-    lower = fx * np.exp(-fx * d / nu)
-    pos = v > SUPPORT_THRESHOLD
-    max_upper = float(np.max(v / upper)) if np.any(pos) else 0.0
-    max_lower = float(np.max(lower[pos] / v[pos])) if np.any(pos) else 0.0
-    if np.any(~pos & (lower > 0)):
-        max_lower = np.inf
+    window, max_upper, max_lower, ok = _envelope_ratios(fn, x, fx, fx / nu)
     beyond = xs > x + fn.dx
     beyond_ratio = float(np.max(fn.values[beyond]) / fx) if np.any(beyond) else 0.0
     beyond_ok = beyond_ratio <= 2.0 * (1.0 + ENVELOPE_TOL)
@@ -230,12 +229,12 @@ def nu_envelope_check(f: GridFunction, x: float) -> NuEnvelopeReport:
         nu=nu,
         x=x,
         density_at_x=fx,
-        window=(x - halfwidth, x + halfwidth),
+        window=window,
         max_upper_ratio=max_upper,
         max_lower_ratio=max_lower,
         max_beyond_ratio=beyond_ratio,
         beyond_ok=beyond_ok,
-        ok=bool(max_upper <= 1.0 + ENVELOPE_TOL and max_lower <= 1.0 + ENVELOPE_TOL and beyond_ok),
+        ok=ok and beyond_ok,
     )
 
 

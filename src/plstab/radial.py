@@ -9,12 +9,13 @@ which is exact for constant profiles and avoids the r^(n-1) degeneracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grids import DomainError, GridFunction, PreconditionError, SUPPORT_THRESHOLD
-from .transport import Cdf, MonotoneMap
+from .transport import Cdf, MonotoneMap, cdf
 from . import supconv as _sc
 
 
@@ -37,56 +38,60 @@ def unit_sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class RadialProfile:
+    """A radial profile f(r) sampled at r = r0 + i*dr.  ``grid`` is the
+    profile as a plain 1-D function of r (no weight), validated once;
+    ``values``, ``r0`` and ``dr`` are its fields."""
+
     n: int
     r0: float
     dr: float
     values: np.ndarray
+    grid: GridFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_dimension(self.n)
         if self.r0 < 0:
             raise DomainError("r0 must be >= 0")
-        g = GridFunction(self.r0, self.dr, self.values)  # reuse validation
-        object.__setattr__(self, "values", g.values)
-        object.__setattr__(self, "r0", float(self.r0))
-        object.__setattr__(self, "dr", float(self.dr))
+        grid = GridFunction(self.r0, self.dr, self.values)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", grid.values)
+        object.__setattr__(self, "r0", grid.x0)
+        object.__setattr__(self, "dr", grid.dx)
 
     @property
     def radii(self) -> np.ndarray:
-        return self.r0 + self.dr * np.arange(self.values.size)
+        return self.grid.centers
 
-    def as_grid(self) -> GridFunction:
-        """The profile as a plain 1-D function of r (no weight)."""
-        return GridFunction(self.r0, self.dr, self.values)
+    @property
+    def at_origin(self) -> bool:
+        """Whether the first cell sits at r = 0."""
+        return abs(self.r0) < 1e-15 * self.dr
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """omega_n * dr * r^(n-1) per cell, with the exact half cell at r = 0
+        (read-only)."""
+        omega = unit_sphere_area(self.n)
+        w = omega * self.dr * self.radii ** (self.n - 1)
+        if self.at_origin:
+            w[0] = omega * (0.5 * self.dr) ** self.n / self.n
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def cdf(self) -> Cdf:
+        """CDF of the measure f(r) r^(n-1) dr: ``transport.cdf`` of the
+        weighted profile f*w/dr, whose first edge r0 - dr/2 is clipped at the
+        origin."""
+        F = cdf(GridFunction(self.r0, self.dr, self.values * self.weights / self.dr))
+        return Cdf(np.maximum(F.edges, 0.0), F.values)
 
     def is_nonincreasing(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.diff(self.values) <= tol * max(1.0, float(np.max(self.values)))))
 
 
-def cell_weights(p: RadialProfile) -> np.ndarray:
-    """omega_n * dr * r^(n-1) per cell, with the exact half-cell at r = 0."""
-    omega = unit_sphere_area(p.n)
-    r = p.radii
-    w = omega * p.dr * r ** (p.n - 1)
-    if abs(p.r0) < 1e-15 * p.dr:
-        w[0] = omega * (0.5 * p.dr) ** p.n / p.n
-    return w
-
-
 def radial_mass(p: RadialProfile) -> float:
-    return float(np.sum(cell_weights(p) * p.values))
-
-
-def _weighted_cdf(p: RadialProfile) -> Cdf:
-    m = radial_mass(p)
-    if m <= 0:
-        raise DomainError("zero mass")
-    edges = np.empty(p.values.size + 1)
-    edges[0] = max(p.r0 - 0.5 * p.dr, 0.0)
-    edges[1:] = p.radii + 0.5 * p.dr
-    acc = np.concatenate([[0.0], np.cumsum(cell_weights(p) * p.values)]) / m
-    acc[-1] = 1.0
-    return Cdf(edges, acc)
+    return float(np.sum(p.weights * p.values))
 
 
 def radial_transport(f: RadialProfile, g: RadialProfile) -> MonotoneMap:
@@ -98,16 +103,13 @@ def radial_transport(f: RadialProfile, g: RadialProfile) -> MonotoneMap:
     """
     if f.n != g.n:
         raise DomainError("profiles must share the ambient dimension")
-    Ff = _weighted_cdf(f)
-    Fg = _weighted_cdf(g)
     r = f.radii
-    T = np.asarray(Fg.quantile(Ff.value_at(r)), dtype=float)
-    T = np.maximum(T, 0.0)
-    if abs(f.r0) < 1e-15 * f.dr:
+    T = np.asarray(g.cdf.quantile(f.cdf.value_at(r)), dtype=float)
+    if f.at_origin:
         T[0] = 0.0
     # the quantile can land a rounding hair below g's first center, where the
     # interpolant would report zero; evaluate at the clamped radius instead
-    gT = g.as_grid().evaluate(np.maximum(T, g.r0))
+    gT = g.grid.evaluate(np.maximum(T, g.r0))
     fv = f.values
     n = f.n
     Tp = np.full(r.size, 1.0)
@@ -121,6 +123,13 @@ def radial_transport(f: RadialProfile, g: RadialProfile) -> MonotoneMap:
     sentinel = (gT <= SUPPORT_THRESHOLD) & (fv > SUPPORT_THRESHOLD)
     Tp[sentinel] = np.inf
     return MonotoneMap(r, T, Tp)
+
+
+def _square_lhs(a, b, n: int):
+    """The square lemma's left side ((a+1)/2)^(n-1) (1+b)/2 - sqrt(b a^(n-1)),
+    and the root sqrt(b a^(n-1)); elementwise on arrays."""
+    root = np.sqrt(b * a ** (n - 1))
+    return ((a + 1.0) / 2.0) ** (n - 1) * (1.0 + b) / 2.0 - root, root
 
 
 def radial_deficit(f: RadialProfile, g: RadialProfile) -> float:
@@ -138,25 +147,21 @@ def radial_deficit(f: RadialProfile, g: RadialProfile) -> float:
     gn = RadialProfile(g.n, g.r0, g.dr, g.values / mg)
     m = radial_transport(fn, gn)
     r = fn.radii
-    n = fn.n
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(r > 0.5 * fn.dr, m.T / np.where(r > 0, r, 1.0), m.Tprime)
     b = m.Tprime
     # drop cells where the weighted CDF has saturated in double precision:
     # there the Jacobian ratio is rounding noise under an exploding weight
     ok = (
-        _weighted_cdf(fn).resolvable(r)
+        fn.cdf.resolvable(r)
         & np.isfinite(b)
         & np.isfinite(a)
         & (a > 0)
         & (b > 0)
         & (fn.values > SUPPORT_THRESHOLD)
     )
-    J = np.where(ok, b * a ** (n - 1), 1.0)
-    factor = ((a + 1.0) / 2.0) ** (n - 1) * (1.0 + b) / 2.0 - np.sqrt(J)
-    w = cell_weights(fn)
-    term = np.where(ok, fn.values / np.sqrt(J) * factor * w, 0.0)
-    return float(np.sum(term))
+    lhs, root = _square_lhs(np.where(ok, a, 1.0), np.where(ok, b, 1.0), fn.n)
+    return float(np.sum(np.where(ok, fn.values / root * lhs * fn.weights, 0.0)))
 
 
 def lemma_square_sides(a: float, b: float, n: int):
@@ -165,9 +170,8 @@ def lemma_square_sides(a: float, b: float, n: int):
         raise DomainError("a and b must lie in (1/16, 16)")
     if n < 1:
         raise DomainError("dimension must be >= 1")
-    root = math.sqrt(b * a ** (n - 1))
-    lhs = ((a + 1.0) / 2.0) ** (n - 1) * (1.0 + b) / 2.0 - root
-    return lhs, (root - 1.0) ** 2
+    lhs, root = _square_lhs(a, b, n)
+    return float(lhs), (float(root) - 1.0) ** 2
 
 
 def lemma_square_min_ratio(n: int) -> float:
@@ -179,8 +183,7 @@ def lemma_square_min_ratio(n: int) -> float:
     """
     gpts = np.exp(np.linspace(math.log(1.0 / 16.0), math.log(16.0), 202)[1:-1])
     A, B = np.meshgrid(gpts, gpts, indexing="ij")
-    root = np.sqrt(B * A ** (n - 1))
-    lhs = ((A + 1.0) / 2.0) ** (n - 1) * (1.0 + B) / 2.0 - root
+    lhs, root = _square_lhs(A, B, n)
     q = (root - 1.0) ** 2
     sel = q >= 1e-12
     best = float(np.min(lhs[sel] / q[sel]))
@@ -202,15 +205,14 @@ def radial_l1_distance(f: RadialProfile, g: RadialProfile) -> float:
     if f.n != g.n:
         raise DomainError("profiles must share the ambient dimension")
     if f.r0 == g.r0 and f.dr == g.dr and f.values.size == g.values.size:
-        return radial_mass(RadialProfile(f.n, f.r0, f.dr, np.abs(f.values - g.values)))
+        return float(np.sum(f.weights * np.abs(f.values - g.values)))
     dr = min(f.dr, g.dr)
     lo = min(f.r0, g.r0)
     hi = max(f.radii[-1], g.radii[-1])
     m = int(np.floor((hi - lo) / dr + 0.5)) + 1
     rs = lo + dr * np.arange(max(m, 2))
-    diff = np.abs(f.as_grid().evaluate(rs) - g.as_grid().evaluate(rs))
-    p = RadialProfile(f.n, lo, dr, diff)
-    return radial_mass(p)
+    diff = np.abs(f.grid.evaluate(rs) - g.grid.evaluate(rs))
+    return radial_mass(RadialProfile(f.n, lo, dr, diff))
 
 
 def radial_sup_convolution(f: RadialProfile, g: RadialProfile, t: float) -> RadialProfile:
@@ -226,15 +228,12 @@ def radial_sup_convolution(f: RadialProfile, g: RadialProfile, t: float) -> Radi
             raise PreconditionError(
                 f"{name} is not radially nonincreasing; apply a decreasing rearrangement first"
             )
-    res = _sc.sup_convolution(f.as_grid(), g.as_grid(), t)
+    res = _sc.sup_convolution(f.grid, g.grid, t)
     return RadialProfile(f.n, max(res.h.x0, 0.0), res.h.dx, res.h.values)
 
 
 def radial_pl_deficit(h: RadialProfile, f: RadialProfile, g: RadialProfile, lam: float) -> float:
-    mf, mg = radial_mass(f), radial_mass(g)
-    if mf <= 0 or mg <= 0:
-        raise DomainError("zero mass")
-    return float(radial_mass(h) / (mf ** lam * mg ** (1.0 - lam)) - 1.0)
+    return _sc.mass_ratio_deficit(radial_mass(h), radial_mass(f), radial_mass(g), lam)
 
 
 def even_extension(p: RadialProfile) -> GridFunction:
@@ -242,7 +241,7 @@ def even_extension(p: RadialProfile) -> GridFunction:
     if p.n != 1:
         raise DomainError("even extension is the n = 1 reduction")
     r = p.radii
-    if abs(p.r0) < 1e-15 * p.dr:
+    if p.at_origin:
         xs = np.concatenate([-r[:0:-1], r])
         vs = np.concatenate([p.values[:0:-1], p.values])
     else:

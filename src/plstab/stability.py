@@ -17,7 +17,6 @@ pair, recentered and rescaled onto h.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import json
 import math
@@ -39,13 +38,12 @@ from .levelsets import PiecewiseLinear
 from .logconcave import is_log_concave, log_concave_hull
 from .radial import (
     RadialProfile,
-    cell_weights,
     radial_l1_distance,
     radial_mass,
     radial_pl_deficit,
     radial_sup_convolution,
 )
-from .supconv import _ternary_max, pl_deficit, sup_convolution
+from .supconv import pl_deficit, sup_convolution
 from .transport import (
     DeficitReport,
     _map_deficit,
@@ -498,12 +496,9 @@ class CounterexampleResult:
     distance: float
 
 
-@functools.cache
-def _odd_bump_peak() -> float:
-    """max of x*(1-x^2)^3 on [0, 1], found by ternary search (never hard-coded:
-    the closed form (6/7)^3/sqrt(7) rounds one ulp lower)."""
-    _, peak = _ternary_max(lambda z, x: x * (1.0 - x * x) ** 3, None, np.zeros(1), np.ones(1), 200)
-    return float(peak[0])
+# max of x*(1-x^2)^3 on [0, 1] as a 200-step ternary search finds it (the
+# closed form (6/7)^3/sqrt(7) rounds one ulp lower)
+_ODD_BUMP_PEAK = float.fromhex("0x1.e77636ba60638p-3")
 
 
 def counterexample_family(cfg: CounterexampleConfig) -> CounterexampleResult:
@@ -523,7 +518,7 @@ def counterexample_family(cfg: CounterexampleConfig) -> CounterexampleResult:
     inside = np.abs(xs) < 1.0
     phi = np.zeros(n)
     phi[inside] = xs[inside] * (1.0 - xs[inside] ** 2) ** 3
-    phi /= _odd_bump_peak()
+    phi /= _ODD_BUMP_PEAK
     gvals = (1.0 + cfg.delta * phi) * fvals
     f = normalize(GridFunction(lo, dx, fvals))
     g = normalize(GridFunction(lo, dx, gvals))
@@ -570,8 +565,7 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     r = dr * (0.5 + np.arange(n))
     fvals = np.exp(-math.pi * r ** 2)
     f = RadialProfile(n_dim, float(r[0]), dr, fvals)  # rejects unsupported dimensions
-    cell = cell_weights(f)
-    cell_mass = cell * fvals
+    cell_mass = f.weights * fvals
     edge = float(np.sum(cell_mass[-2:]) / np.sum(cell_mass))
     if edge > 1e-8:
         raise PreconditionError(
@@ -589,12 +583,12 @@ def radial_counterexample_family(cfg: CounterexampleConfig, n_dim: int) -> Radia
     g = RadialProfile(n_dim, float(r[0]), dr, gvals)
     f = RadialProfile(n_dim, f.r0, f.dr, f.values / radial_mass(f))
     g = RadialProfile(n_dim, g.r0, g.dr, g.values / radial_mass(g))
-    ok, idx = is_log_concave(g.as_grid())
+    ok, idx = is_log_concave(g.grid)
     if not ok or not g.is_nonincreasing(tol=1e-9):
         raise PreconditionError(f"perturbed radial profile is not log-concave decreasing (cell {idx})")
     h = radial_sup_convolution(f, g, cfg.t)
     epsilon = radial_pl_deficit(h, f, g, cfg.t)
-    a = _median_amplitude(g.values, f.values, 0.5, 2.0, cell)
+    a = _median_amplitude(g.values, f.values, 0.5, 2.0, f.weights)
     distance = radial_l1_distance(g, RadialProfile(f.n, f.r0, f.dr, a * f.values))
     return RadialCounterexampleResult(f=f, g=g, h=h, epsilon=epsilon, distance=distance)
 

@@ -224,10 +224,9 @@ def _log_hull(li: _LogInterp) -> _LogInterp:
 
 @dataclass(frozen=True)
 class SupConvResult:
-    """Sup-convolution output plus the maximizing x for each output cell."""
+    """Sup-convolution output."""
 
     h: GridFunction
-    attained_x: np.ndarray
 
 
 def _support_range(f: GridFunction):
@@ -339,8 +338,7 @@ def _enumerates(t: float, dx_f: float, dx_g: float) -> bool:
 def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
     """Per cell, the maximum over x in [lo, hi] of the stage-2 model
     t*Q_f(x) + (1-t)*Q_g((z - t*x)/(1-t)), Q the three-point interpolant of
-    ``_LogInterp.quadratic``, and the first x in order that attains it;
-    a window with hi < lo is the point lo.
+    ``_LogInterp.quadratic``; a window with hi < lo is the point lo.
 
     Between consecutive breakpoints (multiples of half a cell of f in x and
     of g in y) every stencil is fixed, so the model is one quadratic in x.
@@ -353,7 +351,6 @@ def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
     Rows hold each window's breakpoints, padded with its ends and sorted;
     they are processed in chunks of about max(n, 2**13) elements.
     """
-    xs = np.empty(z.size)
     vs = np.empty(z.size)
     a = lo
     b = np.maximum(lo, hi)
@@ -416,11 +413,8 @@ def _exact_max(lf: _LogInterp, lg: _LogInterp, t: float, z, lo, hi):
         # objective forms them
         v = (t * lf.value(lf.index(x), *piece_f)
              + (1.0 - t) * lg.value(lg.index(y_of(zz, x)), *piece_g))
-        best = np.argmax(v, axis=1)
-        row = np.arange(stop - start)
-        vs[start:stop] = v[row, best]
-        xs[start:stop] = x[row, best]
-    return xs, vs
+        np.max(v, axis=1, out=vs[start:stop])
+    return vs
 
 
 def _range_max_table(v: np.ndarray) -> np.ndarray:
@@ -612,9 +606,9 @@ def sup_convolution(f: GridFunction, g: GridFunction, t: float) -> SupConvResult
     under linear interpolation) and the stage-2 value (the maximum of the
     three-point model over a window around the stage-1 point: exact, piece by
     piece, while the window holds at most ``_EXACT_MAX_BREAKPOINTS``
-    breakpoints, else a 45-step ternary search); ``attained_x`` is where it is
-    attained, the stage-2 point on ties.  At most ``DEFAULT_MAX_CELLS`` output
-    cells, spread over the span when it holds more.
+    breakpoints, else a 45-step ternary search).  At most
+    ``DEFAULT_MAX_CELLS`` output cells, spread over the span when it holds
+    more.
     """
     if not 0.0 < t < 1.0:
         raise DomainError("t must lie in (0, 1)")
@@ -657,28 +651,28 @@ def sup_convolution(f: GridFunction, g: GridFunction, t: float) -> SupConvResult
     r_lo = np.maximum(x_lo, xs1 - w)
     r_hi = np.minimum(x_hi, xs1 + w)
     if _enumerates(t, f.dx, g.dx):
-        xs2, v2 = _exact_max(lf, lg, t, z, r_lo, r_hi)
+        v2 = _exact_max(lf, lg, t, z, r_lo, r_hi)
     else:
         def objective(zz, x):
             return t * lf.quadratic(x) + (1.0 - t) * lg.quadratic((zz - t * x) / (1.0 - t))
 
-        xs2, v2 = _ternary_max(objective, z, r_lo, r_hi, iters=45)
-    best = np.maximum(v1, v2)
-    attained = np.where(v2 >= v1, xs2, xs1)
-
-    best = np.where(empty, _NEG, best)
-    attained = np.where(empty, np.nan, attained)
+        _, v2 = _ternary_max(objective, z, r_lo, r_hi, iters=45)
+    best = np.where(empty, _NEG, np.maximum(v1, v2))
     values = np.where(np.isfinite(best), np.exp(best), 0.0)
-    return SupConvResult(h=GridFunction(lo, dxh, values), attained_x=attained)
+    return SupConvResult(h=GridFunction(lo, dxh, values))
 
 
 def pl_deficit(h: GridFunction, f: GridFunction, g: GridFunction, lam: float) -> float:
     """Relative excess of mass(h) over mass(f)^lambda * mass(g)^(1-lambda)."""
-    mf = mass(f)
-    mg = mass(g)
+    return mass_ratio_deficit(mass(h), mass(f), mass(g), lam)
+
+
+def mass_ratio_deficit(mh: float, mf: float, mg: float, lam: float) -> float:
+    """mh / (mf^lambda * mg^(1-lambda)) - 1, the deficit of the masses of h,
+    f and g under any one measure."""
     if mf <= 0 or mg <= 0:
         raise DomainError("zero mass")
-    return float(mass(h) / (mf ** lam * mg ** (1.0 - lam)) - 1.0)
+    return float(mh / (mf ** lam * mg ** (1.0 - lam)) - 1.0)
 
 
 def integral_curve(f: GridFunction, g: GridFunction, t_grid) -> list:

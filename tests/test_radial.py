@@ -22,7 +22,8 @@ from plstab import (
     radial_transport,
     unit_sphere_area,
 )
-from plstab.transport import monotone_transport
+from plstab.grids import SUPPORT_THRESHOLD
+from plstab.transport import Cdf, monotone_transport
 
 
 def half_grid(n, r_hi):
@@ -176,7 +177,7 @@ def resampled_radial_l1(f, g):
     hi = max(f.radii[-1], g.radii[-1])
     m = int(np.floor((hi - lo) / dr + 0.5)) + 1
     rs = lo + dr * np.arange(max(m, 2))
-    diff = np.abs(f.as_grid().evaluate(rs) - g.as_grid().evaluate(rs))
+    diff = np.abs(f.grid.evaluate(rs) - g.grid.evaluate(rs))
     return radial_mass(RadialProfile(f.n, lo, dr, diff))
 
 
@@ -232,9 +233,7 @@ def test_radial_deficit_lower_bound_via_lemma():
     b = m.Tprime
     ok = np.isfinite(b) & (fn.values > 0) & (a > 1 / 16) & (a < 16) & (b > 1 / 16) & (b < 16)
     J = b[ok] * a[ok] ** (fn.n - 1)
-    from plstab.radial import cell_weights
-
-    w = cell_weights(fn)[ok]
+    w = fn.weights[ok]
     quad = float(np.sum(fn.values[ok] * (np.sqrt(J) - 1.0) ** 2 * w))
     c = lemma_square_min_ratio(2) * 4.0 ** -2
     assert radial_deficit(fn, gn) >= c * quad - 1e-8
@@ -247,3 +246,92 @@ def test_profile_validation():
         RadialProfile(2, -0.5, 0.1, np.ones(4))
     with pytest.raises(DomainError):
         radial_l1_distance(gaussian_profile(2), gaussian_profile(3))
+
+
+# ---------------------------------------------------------------------------
+# the radial CDF as transport.cdf of the weighted profile, against the
+# weighted CDF built directly from the cell masses
+
+
+def reference_weights(p):
+    omega = unit_sphere_area(p.n)
+    w = omega * p.dr * p.radii ** (p.n - 1)
+    if abs(p.r0) < 1e-15 * p.dr:
+        w[0] = omega * (0.5 * p.dr) ** p.n / p.n
+    return w
+
+
+def reference_cdf(p):
+    """Cumulative weighted cell masses over the cell edges, the first edge at
+    max(r0 - dr/2, 0)."""
+    cell_mass = reference_weights(p) * p.values
+    edges = np.empty(p.values.size + 1)
+    edges[0] = max(p.r0 - 0.5 * p.dr, 0.0)
+    edges[1:] = p.radii + 0.5 * p.dr
+    acc = np.concatenate([[0.0], np.cumsum(cell_mass)]) / np.sum(cell_mass)
+    acc[-1] = 1.0
+    return Cdf(edges, acc)
+
+
+def reference_transport(f, g):
+    """(T, T', f's CDF) of the radial transport on the reference CDFs."""
+    Ff = reference_cdf(f)
+    r = f.radii
+    T = np.maximum(np.asarray(reference_cdf(g).quantile(Ff.value_at(r)), dtype=float), 0.0)
+    if abs(f.r0) < 1e-15 * f.dr:
+        T[0] = 0.0
+    gT = GridFunction(g.r0, g.dr, g.values).evaluate(np.maximum(T, g.r0))
+    fv, n = f.values, f.n
+    Tp = np.full(r.size, 1.0)
+    small = (r < 0.5 * f.dr) | (T < 0.5 * g.dr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        regular = ~small & (gT > SUPPORT_THRESHOLD) & (T > 0)
+        Tp[regular] = fv[regular] * r[regular] ** (n - 1) / (gT[regular] * T[regular] ** (n - 1))
+    origin = small & (gT > SUPPORT_THRESHOLD) & (fv > SUPPORT_THRESHOLD)
+    Tp[origin] = (fv[origin] / gT[origin]) ** (1.0 / n)
+    Tp[(gT <= SUPPORT_THRESHOLD) & (fv > SUPPORT_THRESHOLD)] = np.inf
+    return T, Tp, Ff
+
+
+def reference_deficit(f, g):
+    fn, gn = (RadialProfile(p.n, p.r0, p.dr, p.values / np.sum(reference_weights(p) * p.values))
+              for p in (f, g))
+    T, b, F = reference_transport(fn, gn)
+    r, n = fn.radii, fn.n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(r > 0.5 * fn.dr, T / np.where(r > 0, r, 1.0), b)
+        ok = (F.resolvable(r) & np.isfinite(b) & np.isfinite(a) & (a > 0) & (b > 0)
+              & (fn.values > SUPPORT_THRESHOLD))
+        J = np.where(ok, b * a ** (n - 1), 1.0)
+        factor = ((a + 1.0) / 2.0) ** (n - 1) * (1.0 + b) / 2.0 - np.sqrt(J)
+        term = np.where(ok, fn.values / np.sqrt(J) * factor * reference_weights(fn), 0.0)
+    return float(np.sum(term))
+
+
+def random_decreasing_pair(rng, n_dim, start):
+    """f and g on one grid, each log-decreasing by random steps that add up to
+    about the same 5 ... 40 over it.  (Where g's CDF saturates in double
+    precision while f's does not, T is ill-conditioned, dT = dp / (g w)(T),
+    and the two CDFs' rounding moves a cell across the +inf sentinel.)"""
+    cells = int(rng.integers(64, 2049))
+    dr = float(rng.uniform(1e-3, 0.1))
+    r0 = 0.0 if start == "origin" else 0.5 * dr
+    step = float(rng.uniform(5.0, 40.0)) / cells
+    return [RadialProfile(n_dim, r0, dr, float(rng.uniform(0.1, 10.0))
+                          * np.exp(-np.cumsum(rng.exponential(step, cells))))
+            for _ in range(2)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 5]), st.sampled_from(["origin", "half"]))
+@settings(max_examples=150, deadline=None)
+def test_radial_transport_matches_direct_weighted_cdf(seed, n_dim, start):
+    f, g = random_decreasing_pair(np.random.default_rng(seed), n_dim, start)
+    assert abs(radial_deficit(f, g) - reference_deficit(f, g)) <= 1e-12
+    m = radial_transport(f, g)
+    T, Tp, F = reference_transport(f, g)
+    p = F.value_at(f.radii)
+    inner = (p > 1e-6) & (p < 1.0 - 1e-6)
+    assert np.all(np.abs(m.T - T)[inner] <= 1e-9 * T[inner])
+    assert np.array_equal(np.isfinite(m.Tprime[inner]), np.isfinite(Tp[inner]))
+    inner &= np.isfinite(Tp)
+    assert np.all(np.abs(m.Tprime - Tp)[inner] <= 1e-7 * Tp[inner])

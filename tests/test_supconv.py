@@ -22,8 +22,8 @@ from plstab import (
 )
 from plstab.densities import exponential, gaussian
 from plstab.stability import (
+    _ODD_BUMP_PEAK,
     CounterexampleConfig,
-    _odd_bump_peak,
     counterexample_family,
     random_log_concave,
     random_log_concave_pair,
@@ -74,13 +74,6 @@ def test_uniform_closed_form(uniform_pair):
     )
     assert l1_distance(res.h, target) <= 1e-3
     assert pl_deficit(res.h, f, g, 0.5) == pytest.approx(UNIFORM_DEFICIT, abs=1e-3)
-
-
-def test_attained_points_feasible(uniform_pair):
-    f, g = uniform_pair
-    res = sup_convolution(f, g, 0.5)
-    pos = res.h.values > 0
-    assert np.all(np.isfinite(res.attained_x[pos]))
 
 
 def test_supconv_condition_sampled():
@@ -296,7 +289,6 @@ def test_sup_convolution_matches_reference_interp(monkeypatch, kind):
     monkeypatch.setattr(plstab.supconv, "_LogInterp", ReferenceLogInterp)
     ref = sup_convolution(f, g, 0.05)
     assert_bits_equal(res.h.values, ref.h.values)
-    assert_bits_equal(res.attained_x, ref.attained_x)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +526,6 @@ def test_sup_convolution_grid_scan_matches_flat_scan(monkeypatch):
     monkeypatch.setattr(plstab.supconv, "_block_scan_max", flat_grid_scan_max)
     ref = sup_convolution(f, g, 0.3)
     assert np.array_equal(res.h.values, ref.h.values)
-    assert np.array_equal(res.attained_x, ref.attained_x, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +789,14 @@ def test_stage2_stacked_probes_match_two_call_loop(case):
         x_ref, v_ref = two_call_ternary_max(two_call_objective, z, lo, hi, 45)
     assert_bits_equal(x, x_ref)
     assert_bits_equal(v, v_ref)
-    # the same search on a one-element bracket, as the counterexample bump uses it
-    assert _odd_bump_peak().hex() == "0x1.e77636ba60638p-3"
+
+
+def test_odd_bump_peak_is_the_searched_maximum():
+    # the counterexample bump's stored peak is what 200 ternary steps on a
+    # one-element bracket give for max x*(1-x^2)^3 on [0, 1]
+    _, peak = _ternary_max(lambda z, x: x * (1.0 - x * x) ** 3, None, np.zeros(1), np.ones(1), 200)
+    assert peak[0] == _ODD_BUMP_PEAK
+    assert _ODD_BUMP_PEAK.hex() == "0x1.e77636ba60638p-3"
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +813,7 @@ def ternary_stage2(f, g, t):
         return t * rf.quadratic(x) + (1.0 - t) * rg.quadratic((zz - t * x) / (1.0 - t))
 
     def stage2(lf, lg, t_, z, lo, hi):
-        return two_call_ternary_max(objective, z, lo, hi, 45)
+        return two_call_ternary_max(objective, z, lo, hi, 45)[1]
 
     return stage2
 
@@ -831,15 +828,15 @@ def ternary_sup_convolution(f, g, t):
 
 
 def recorded_sup_convolution(f, g, t):
-    """sup_convolution plus the (z, lo, hi, x, v) of its piecewise stage 2,
-    or None when the call took the ternary search."""
+    """sup_convolution plus the (z, lo, hi, v) of its piecewise stage 2, or
+    None when the call took the ternary search."""
     calls = []
     exact = plstab.supconv._exact_max
 
     def recording(lf, lg, t_, z, lo, hi):
-        x, v = exact(lf, lg, t_, z, lo, hi)
-        calls.append((z, lo, hi, x, v))
-        return x, v
+        v = exact(lf, lg, t_, z, lo, hi)
+        calls.append((z, lo, hi, v))
+        return v
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(plstab.supconv, "_exact_max", recording)
@@ -897,7 +894,6 @@ def test_exact_stage2_dominates_ternary_and_scan(case):
         # windows wider than the enumeration's limit keep the ternary search
         assert not plstab.supconv._enumerates(t, f.dx, g.dx)
         assert_bits_equal(res.h.values, ref.h.values)
-        assert_bits_equal(res.attained_x, ref.attained_x)
         return
     with np.errstate(divide="ignore"):
         log_h, log_ref = np.log(res.h.values), np.log(ref.h.values)
@@ -905,7 +901,7 @@ def test_exact_stage2_dominates_ternary_and_scan(case):
     hit = ref.h.values > 0.0
     assert np.all(log_h[hit] >= log_ref[hit] - 1e-12)
     # every cell reaches the model's maximum over a dense scan of its window
-    z, lo, hi, _, _ = stage2
+    z, lo, hi, _ = stage2
     scan = scan_stage2_model(f, g, t, z, lo, hi)
     finite = np.isfinite(scan)
     assert np.all(log_h[finite] >= scan[finite] - 1e-12)
